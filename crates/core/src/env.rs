@@ -12,7 +12,7 @@ use crate::params::{PlannerParams, ShortlistMode};
 use crate::reward::{RewardModel, SimTracker};
 use std::cell::{Cell, RefCell};
 use tpp_geo::{haversine_km, DistanceMatrix, GeoPoint, GridIndex};
-use tpp_model::{ItemId, ItemKind, Plan, PlanningInstance, TopicVector};
+use tpp_model::{ItemId, ItemKind, Plan, PlanningInstance, PrereqExpr, TopicVector};
 use tpp_rl::{Environment, StepOutcome, DENSE_AUTO_MAX};
 
 /// Float tolerance on the `#cr` budget boundary, shared by the
@@ -115,6 +115,78 @@ struct Shortlist {
     top_k: usize,
 }
 
+/// The catalog's per-item columns, copied once in [`TppEnv::new`] into
+/// contiguous arrays so the gate and the reward peek read a few words
+/// per candidate instead of a whole [`tpp_model::Item`].
+#[derive(Debug, Clone)]
+struct ItemTables<'a> {
+    credits: Vec<f64>,
+    kinds: Vec<ItemKind>,
+    prereqs: Vec<&'a PrereqExpr>,
+    /// Topic words, `words` per item ([`TopicVector::blocks`]).
+    topics: Vec<u64>,
+    words: usize,
+    /// Eq. 2's `β · w(m)` ([`RewardModel::type_term`]).
+    type_term: Vec<f64>,
+}
+
+impl<'a> ItemTables<'a> {
+    fn new(instance: &'a PlanningInstance, model: &RewardModel, words: usize) -> Self {
+        let items = instance.catalog.items();
+        let mut topics = Vec::with_capacity(items.len() * words);
+        for item in items {
+            debug_assert_eq!(item.topics.blocks().len(), words, "vocabulary mismatch");
+            topics.extend_from_slice(item.topics.blocks());
+        }
+        ItemTables {
+            credits: items.iter().map(|i| i.credits).collect(),
+            kinds: items.iter().map(|i| i.kind).collect(),
+            prereqs: items.iter().map(|i| &i.prereq).collect(),
+            topics,
+            words,
+            type_term: items.iter().map(|i| model.type_term(i)).collect(),
+        }
+    }
+
+    #[inline]
+    fn topics(&self, j: usize) -> &[u64] {
+        &self.topics[j * self.words..(j + 1) * self.words]
+    }
+}
+
+/// Whether two topic-word slices share a topic.
+#[inline]
+fn words_intersect(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// Index of a kind in per-kind arrays.
+#[inline]
+fn kind_slot(kind: ItemKind) -> usize {
+    usize::from(!kind.is_primary())
+}
+
+/// The gate's per-call invariants, hoisted out of the candidate loop of
+/// [`Environment::valid_actions`].
+struct GateCtx<'e> {
+    elapsed_hours: f64,
+    credits_admit_cap: f64,
+    /// The current item's topic words, when the no-consecutive-theme
+    /// rule applies.
+    theme: Option<&'e [u64]>,
+    /// Where legs from the current item come from, with `travelled_km`
+    /// and `d + 1e-9`, when the distance rule applies.
+    distance: Option<(Legs<'e>, f64, f64)>,
+}
+
+/// Legs from the current item.
+enum Legs<'e> {
+    /// The current item's [`DistanceMatrix::row`].
+    Row(&'e [f64]),
+    /// Over the matrix cap: one [`TppEnv::leg_km`] probe per candidate.
+    Probe,
+}
+
 /// The TPP environment over one planning instance.
 #[derive(Debug, Clone)]
 pub struct TppEnv<'a> {
@@ -137,17 +209,26 @@ pub struct TppEnv<'a> {
     /// path) instead of using the caches. Semantics are identical; only
     /// the work per step differs.
     naive: bool,
+    tables: ItemTables<'a>,
     // --- episode state ---
     visited: Vec<bool>,
+    /// Item positions and the prefix's kinds and coverage: the naive
+    /// path's inputs.
     positions: Vec<Option<usize>>,
     seq_kinds: Vec<ItemKind>,
+    coverage: TopicVector,
     /// Incremental Eq. 6/7 prefix counters, kept in lockstep with
     /// `seq_kinds`.
     sim: SimTracker,
-    coverage: TopicVector,
-    /// Topics of the current item, cached so the theme gate doesn't
-    /// re-index the catalog per candidate.
-    cur_topics: TopicVector,
+    /// `⌊pos/gap⌋` of each seated item; `usize::MAX` while unseated.
+    seated_block: Vec<usize>,
+    // --- per-step reward terms, refreshed on every seat ---
+    /// `δ · Agg(prefix + [kind])`, indexed by [`kind_slot`].
+    sim_term: [f64; 2],
+    /// The ideal topics not yet covered: `T_ideal ∧ ¬T_current`.
+    missing: Vec<u64>,
+    /// `⌊at/gap⌋` for the next position `at`.
+    at_block: usize,
     items: Vec<ItemId>,
     current: usize,
     elapsed_hours: f64,
@@ -221,7 +302,10 @@ impl<'a> TppEnv<'a> {
             DistCache::Direct
         };
         let sim = model.sim_tracker();
-        TppEnv {
+        let coverage = instance.catalog.vocabulary().zero_vector();
+        let tables = ItemTables::new(instance, &model, coverage.blocks().len());
+        let missing = model.ideal().blocks().to_vec();
+        let mut env = TppEnv {
             instance,
             model,
             horizon: instance.horizon(),
@@ -231,17 +315,23 @@ impl<'a> TppEnv<'a> {
             credits_admit_cap: instance.hard.credits + CREDIT_EPS,
             credits_done_floor: instance.hard.credits - CREDIT_EPS,
             naive,
+            tables,
             visited: vec![false; n],
             positions: vec![None; n],
             seq_kinds: Vec::with_capacity(instance.horizon()),
+            coverage,
             sim,
-            coverage: instance.catalog.vocabulary().zero_vector(),
-            cur_topics: instance.catalog.vocabulary().zero_vector(),
+            seated_block: vec![usize::MAX; n],
+            sim_term: [0.0; 2],
+            missing,
+            at_block: 0,
             items: Vec::with_capacity(instance.horizon()),
             current: 0,
             elapsed_hours: 0.0,
             travelled_km: 0.0,
-        }
+        };
+        env.refresh_step_terms();
+        env
     }
 
     /// The reward model in use (shared with the EDA baseline).
@@ -293,15 +383,86 @@ impl<'a> TppEnv<'a> {
         !self.instance.is_trip() && self.elapsed_hours >= self.credits_done_floor
     }
 
+    /// Seats item `j` at the next position and refreshes the per-step
+    /// reward terms.
+    fn seat(&mut self, j: usize) {
+        let item = &self.instance.catalog.items()[j];
+        let pos = self.items.len();
+        self.visited[j] = true;
+        self.positions[j] = Some(pos);
+        self.seated_block[j] = self.model.block_of(pos);
+        self.seq_kinds.push(item.kind);
+        self.sim.push(item.kind);
+        self.coverage.union_with(&item.topics);
+        for (m, t) in self.missing.iter_mut().zip(self.tables.topics(j)) {
+            *m &= !t;
+        }
+        self.items.push(item.id);
+        self.elapsed_hours += item.credits;
+        self.current = j;
+        self.refresh_step_terms();
+    }
+
+    /// Recomputes the reward terms that change once per step.
+    fn refresh_step_terms(&mut self) {
+        let (model, sim) = (&self.model, &self.sim);
+        self.sim_term = [ItemKind::Primary, ItemKind::Secondary].map(|k| model.sim_term(sim, k));
+        self.at_block = model.block_of(self.items.len());
+    }
+
+    /// The gate's invariants for the current state.
+    fn gate_ctx(&self) -> GateCtx<'_> {
+        let started = !self.items.is_empty();
+        let trip = self.instance.trip.as_ref().filter(|_| started);
+        GateCtx {
+            elapsed_hours: self.elapsed_hours,
+            credits_admit_cap: self.credits_admit_cap,
+            theme: trip
+                .filter(|t| t.no_consecutive_same_theme)
+                .map(|_| self.tables.topics(self.current)),
+            distance: trip.and_then(|t| t.max_distance_km).map(|max_km| {
+                let legs = match &self.dist {
+                    DistCache::Matrix(m) => Legs::Row(m.row(self.current)),
+                    _ => Legs::Probe,
+                };
+                (legs, self.travelled_km, max_km + 1e-9)
+            }),
+        }
+    }
+
     /// The action-validity gate: `None` if item `j` may follow the
     /// current state, otherwise the hard constraint that rejects it.
-    fn gate(&self, j: usize) -> Option<GateReject> {
-        let item = &self.instance.catalog.items()[j];
+    #[inline]
+    fn gate(&self, j: usize, ctx: &GateCtx<'_>) -> Option<GateReject> {
         // The `#cr` budget — course credits, or the trip visit-time
         // limit. Both families gate admission, so a variable-credit
         // catalog can never admit an item that pushes `elapsed_hours`
         // past `#cr` (beyond the shared float tolerance); see
         // [`CREDIT_EPS`] for the boundary convention.
+        if ctx.elapsed_hours + self.tables.credits[j] > ctx.credits_admit_cap {
+            return Some(GateReject::Credits);
+        }
+        if let Some(cur) = ctx.theme {
+            if words_intersect(cur, self.tables.topics(j)) {
+                return Some(GateReject::ThemeGap);
+            }
+        }
+        if let Some((legs, travelled_km, limit)) = &ctx.distance {
+            let leg = match legs {
+                Legs::Row(row) => row[j],
+                Legs::Probe => self.leg_km(self.current, j),
+            };
+            if travelled_km + leg > *limit {
+                return Some(GateReject::Distance);
+            }
+        }
+        None
+    }
+
+    /// The naive engine's gate: the same rules read straight from the
+    /// catalog's items, with one haversine per leg.
+    fn gate_naive(&self, j: usize) -> Option<GateReject> {
+        let item = &self.instance.catalog.items()[j];
         if self.elapsed_hours + item.credits > self.credits_admit_cap {
             return Some(GateReject::Credits);
         }
@@ -309,11 +470,7 @@ impl<'a> TppEnv<'a> {
             return None;
         };
         if trip.no_consecutive_same_theme && !self.items.is_empty() {
-            let cur = if self.naive {
-                &self.instance.catalog.items()[self.current].topics
-            } else {
-                &self.cur_topics
-            };
+            let cur = &self.instance.catalog.items()[self.current].topics;
             if cur.intersection_count(&item.topics) > 0 {
                 return Some(GateReject::ThemeGap);
             }
@@ -326,6 +483,51 @@ impl<'a> TppEnv<'a> {
             }
         }
         None
+    }
+
+    /// Gates the unvisited candidates into `buf` — the whole catalog, or
+    /// the grid shortlist around the current item — and tallies the
+    /// rejections.
+    fn scan<G>(&self, buf: &mut Vec<usize>, gate: G)
+    where
+        G: Fn(usize) -> Option<GateReject>,
+    {
+        let mut g = self.gates.get();
+        if let Some(sl) = &self.shortlist {
+            // Grid-pruned shortlist: gate candidates nearest-first and
+            // stop once `top_k` pass, then restore ascending index
+            // order so downstream tie-breaking ("lower index wins")
+            // keeps its meaning.
+            let here = &sl.points[self.current];
+            for (_, &j) in sl.grid.within_radius(here, sl.radius_km) {
+                if self.visited[j] {
+                    continue;
+                }
+                g.checked += 1;
+                match gate(j) {
+                    None => {
+                        buf.push(j);
+                        if buf.len() >= sl.top_k {
+                            break;
+                        }
+                    }
+                    Some(reason) => g.bump(reason),
+                }
+            }
+            buf.sort_unstable();
+        } else {
+            for (j, &seen) in self.visited.iter().enumerate() {
+                if seen {
+                    continue;
+                }
+                g.checked += 1;
+                match gate(j) {
+                    None => buf.push(j),
+                    Some(reason) => g.bump(reason),
+                }
+            }
+        }
+        self.gates.set(g);
     }
 
     /// Gate tallies accumulated so far (see [`GateCounts`]).
@@ -347,25 +549,18 @@ impl Environment for TppEnv<'_> {
     fn reset(&mut self, start: usize) {
         let n = self.instance.catalog.len();
         assert!(start < n, "start {start} out of range {n}");
-        self.visited.iter_mut().for_each(|v| *v = false);
-        self.positions.iter_mut().for_each(|p| *p = None);
+        self.visited.fill(false);
+        self.positions.fill(None);
+        self.seated_block.fill(usize::MAX);
         self.seq_kinds.clear();
         self.sim.reset();
         self.items.clear();
-        self.coverage = self.instance.catalog.vocabulary().zero_vector();
+        self.coverage.clear();
+        self.missing.copy_from_slice(self.model.ideal().blocks());
         self.elapsed_hours = 0.0;
         self.travelled_km = 0.0;
         // Seat the start item as position 0 of the episode.
-        let item = &self.instance.catalog.items()[start];
-        self.visited[start] = true;
-        self.positions[start] = Some(0);
-        self.seq_kinds.push(item.kind);
-        self.sim.push(item.kind);
-        self.coverage.union_with(&item.topics);
-        self.cur_topics.clone_from(&item.topics);
-        self.items.push(item.id);
-        self.elapsed_hours += item.credits;
-        self.current = start;
+        self.seat(start);
     }
 
     fn state(&self) -> usize {
@@ -377,61 +572,21 @@ impl Environment for TppEnv<'_> {
         if self.items.len() >= self.horizon || self.credits_exhausted() {
             return;
         }
-        let mut g = self.gates.get();
-        if let Some(sl) = &self.shortlist {
-            // Grid-pruned shortlist: gate candidates nearest-first and
-            // stop once `top_k` pass, then restore ascending index
-            // order so downstream tie-breaking ("lower index wins")
-            // keeps its meaning.
-            let here = &sl.points[self.current];
-            for (_, &j) in sl.grid.within_radius(here, sl.radius_km) {
-                if self.visited[j] {
-                    continue;
-                }
-                g.checked += 1;
-                match self.gate(j) {
-                    None => {
-                        buf.push(j);
-                        if buf.len() >= sl.top_k {
-                            break;
-                        }
-                    }
-                    Some(reason) => g.bump(reason),
-                }
-            }
-            buf.sort_unstable();
+        if self.naive {
+            self.scan(buf, |j| self.gate_naive(j));
         } else {
-            for j in 0..self.visited.len() {
-                if self.visited[j] {
-                    continue;
-                }
-                g.checked += 1;
-                match self.gate(j) {
-                    None => buf.push(j),
-                    Some(reason) => g.bump(reason),
-                }
-            }
+            let ctx = self.gate_ctx();
+            self.scan(buf, |j| self.gate(j, &ctx));
         }
-        self.gates.set(g);
     }
 
     fn step(&mut self, action: usize) -> StepOutcome {
         debug_assert!(!self.visited[action], "action {action} already visited");
         let reward = self.peek_reward(action);
-        let item = &self.instance.catalog.items()[action];
         if self.instance.is_trip() && !self.items.is_empty() {
             self.travelled_km += self.leg_km(self.current, action);
         }
-        let pos = self.items.len();
-        self.visited[action] = true;
-        self.positions[action] = Some(pos);
-        self.seq_kinds.push(item.kind);
-        self.sim.push(item.kind);
-        self.coverage.union_with(&item.topics);
-        self.cur_topics.clone_from(&item.topics);
-        self.items.push(item.id);
-        self.elapsed_hours += item.credits;
-        self.current = action;
+        self.seat(action);
         StepOutcome {
             next_state: action,
             reward,
@@ -439,21 +594,43 @@ impl Environment for TppEnv<'_> {
         }
     }
 
+    /// Eq. 2 for appending `action`. The fast path does only the
+    /// candidate's share of the work: r1 is a popcount against the
+    /// missing ideal topics, r2 compares seated blocks, and the value is
+    /// the per-step similarity term plus the per-item type term.
     fn peek_reward(&self, action: usize) -> f64 {
-        let item = &self.instance.catalog.items()[action];
-        let positions = &self.positions;
-        let pos_of = |id: ItemId| positions[id.index()];
         if self.naive {
+            let item = &self.instance.catalog.items()[action];
+            let positions = &self.positions;
+            let pos_of = |id: ItemId| positions[id.index()];
             let prev = (!self.items.is_empty() && self.instance.is_trip())
                 .then(|| &self.instance.catalog.items()[self.current].topics);
-            self.model
-                .reward(item, &self.seq_kinds, &self.coverage, &pos_of, prev)
-        } else {
-            let prev =
-                (!self.items.is_empty() && self.instance.is_trip()).then_some(&self.cur_topics);
-            self.model
-                .reward_incremental(item, &self.sim, &self.coverage, &pos_of, prev)
+            return self
+                .model
+                .reward(item, &self.seq_kinds, &self.coverage, &pos_of, prev);
         }
+        let t = &self.tables;
+        let topics = t.topics(action);
+        let gain: u32 = topics
+            .iter()
+            .zip(&self.missing)
+            .map(|(m, i)| (m & i).count_ones())
+            .sum();
+        if gain < self.model.min_gain() {
+            return 0.0; // r1 = 0
+        }
+        let (seated, at_block) = (&self.seated_block, self.at_block);
+        if !t.prereqs[action].holds(&|id: ItemId| seated[id.index()] < at_block) {
+            return 0.0; // r2 = 0
+        }
+        if self.model.theme_gap()
+            && self.instance.is_trip()
+            && !self.items.is_empty()
+            && words_intersect(t.topics(self.current), topics)
+        {
+            return 0.0; // r2's trip theme gap
+        }
+        self.sim_term[kind_slot(t.kinds[action])] + t.type_term[action]
     }
 }
 

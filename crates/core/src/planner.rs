@@ -26,7 +26,8 @@ pub struct RlPlanner;
 /// (lines 4 and 9 of the pseudo-code select by *immediate reward*, which
 /// is what keeps training trajectories feasible — the Eq. 2 gate zeroes
 /// every constraint-violating action). Reward ties break by higher Q,
-/// then uniformly at random.
+/// then uniformly at random. `best` is the caller's scratch buffer for
+/// the tie set, reused across steps.
 fn select_action(
     env: &TppEnv<'_>,
     q: &QTable,
@@ -34,13 +35,14 @@ fn select_action(
     allowed: &[usize],
     explore: f64,
     rng: &mut TrainRng,
+    best: &mut Vec<usize>,
 ) -> usize {
     debug_assert!(!allowed.is_empty());
     if rng.next_f64() < explore {
         return allowed[rng.index(allowed.len())];
     }
     let s = env.state();
-    let mut best: Vec<usize> = Vec::new();
+    best.clear();
     let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for &a in allowed {
         let key = (env.peek_reward(a), q.get(s, a));
@@ -62,12 +64,8 @@ fn select_action(
         .map(|&a| visits.get(s, a))
         .min()
         .expect("non-empty");
-    let least: Vec<usize> = best
-        .iter()
-        .copied()
-        .filter(|&a| visits.get(s, a) == min_visits)
-        .collect();
-    least[rng.index(least.len())]
+    best.retain(|&a| visits.get(s, a) == min_visits);
+    best[rng.index(best.len())]
 }
 
 impl RlPlanner {
@@ -220,6 +218,7 @@ impl RlPlanner {
             .map(|i| i.id.index())
             .collect();
         let mut actions = Vec::with_capacity(n);
+        let mut ties = Vec::with_capacity(n);
         // Valid-action-set sizes are tallied locally (sizes are bounded
         // by |I|) and flushed to the shared histogram once per session:
         // ten seeds train in parallel, and per-step updates of shared
@@ -290,7 +289,7 @@ impl RlPlanner {
                 maybe_checkpoint(episode, &q, &rng, &visits, &stats)?;
                 continue;
             }
-            let mut a = select_action(&env, &q, &visits, &actions, explore, &mut rng);
+            let mut a = select_action(&env, &q, &visits, &actions, explore, &mut rng, &mut ties);
             // Eligibility traces (SARSA(λ)): a TPP episode never repeats
             // a state-action pair, so the trace is simply the visited
             // pairs with geometrically decaying weights. Traces are what
@@ -312,7 +311,9 @@ impl RlPlanner {
                     if actions.is_empty() {
                         (true, out.reward - q.get(s, a))
                     } else {
-                        let a_next = select_action(&env, &q, &visits, &actions, explore, &mut rng);
+                        let a_next = select_action(
+                            &env, &q, &visits, &actions, explore, &mut rng, &mut ties,
+                        );
                         let delta =
                             out.reward + params.gamma * q.get(out.next_state, a_next) - q.get(s, a);
                         s = out.next_state;
@@ -441,14 +442,13 @@ impl RlPlanner {
             // total_cmp keeps the argmax panic-free when a corrupt or
             // adversarial checkpoint smuggles a NaN into Q: the pick
             // degrades deterministically instead of killing the worker.
-            let best = actions
+            let (_, _, best) = actions
                 .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    env.peek_reward(a)
-                        .total_cmp(&env.peek_reward(b))
-                        .then_with(|| q.get(s, a).total_cmp(&q.get(s, b)))
-                        .then(b.cmp(&a))
+                .map(|&a| (env.peek_reward(a), q.get(s, a), a))
+                .max_by(|x, y| {
+                    x.0.total_cmp(&y.0)
+                        .then_with(|| x.1.total_cmp(&y.1))
+                        .then(y.2.cmp(&x.2))
                 })
                 .expect("actions is non-empty");
             if env.step(best).done {
@@ -677,6 +677,63 @@ mod tests {
         let err = RlPlanner::learn_checkpointed(&inst, &params, 1, Some(&ckpt), 0, |_| Ok(()))
             .unwrap_err();
         assert!(err.contains("target is 5"), "{err}");
+    }
+
+    /// The recommend walk as it was written before each candidate's
+    /// reward was computed once: `peek_reward` inside the comparator.
+    fn recommend_pairwise(q: &QTable, instance: &PlanningInstance, params: &PlannerParams) -> Plan {
+        let start = instance.default_start.unwrap_or(ItemId(0));
+        let mut env = TppEnv::new(instance, params);
+        env.reset(start.index());
+        let mut actions = Vec::new();
+        loop {
+            let s = env.state();
+            env.valid_actions(&mut actions);
+            let Some(best) = actions.iter().copied().max_by(|&a, &b| {
+                env.peek_reward(a)
+                    .total_cmp(&env.peek_reward(b))
+                    .then_with(|| q.get(s, a).total_cmp(&q.get(s, b)))
+                    .then(b.cmp(&a))
+            }) else {
+                break;
+            };
+            if env.step(best).done {
+                break;
+            }
+        }
+        env.plan()
+    }
+
+    #[test]
+    fn recommend_matches_the_pairwise_argmax() {
+        use tpp_datagen::defaults::{PARIS_SEED, UNIV1_SEED};
+        let mut course = PlannerParams::univ1_defaults();
+        course.episodes = 60;
+        let mut trip = PlannerParams::trip_defaults();
+        trip.episodes = 60;
+        let sets = [
+            (toy_instance(), toy_params()),
+            (tpp_datagen::univ1_ds_ct(UNIV1_SEED), course),
+            (tpp_datagen::paris(PARIS_SEED).instance, trip),
+        ];
+        for (instance, params) in &sets {
+            let n = instance.catalog.len();
+            // An all-zero table makes every Q comparison a tie, so the
+            // reward order and the lower-index rule decide alone.
+            let mut tables = vec![QTable::square(n)];
+            for seed in [1, 2, 3] {
+                tables.push(RlPlanner::learn(instance, params, seed).0.q);
+            }
+            for q in &tables {
+                let start = instance.default_start.unwrap_or(ItemId(0));
+                assert_eq!(
+                    RlPlanner::recommend_with_q(q, instance, params, start),
+                    recommend_pairwise(q, instance, params),
+                    "{}",
+                    instance.catalog.name()
+                );
+            }
+        }
     }
 
     #[test]

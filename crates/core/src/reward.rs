@@ -82,10 +82,12 @@ impl InterleavingKernel {
 /// can be carried across steps instead of recomputed: `push` advances
 /// the counters by one appended item in O(|IT|), and
 /// [`SimTracker::peek_aggregate`] evaluates the Eq. 7 aggregate for a
-/// *candidate* append in O(|IT|) without touching the prefix. This
-/// replaces the O(L · |IT|) per-candidate rescan in the training inner
-/// loop (O(L²) per episode) with O(1)-per-step bookkeeping; the golden
-/// equivalence suite pins it bit-identical to the naive kernel.
+/// *candidate* append in O(|IT|) without touching the prefix. The
+/// aggregate depends on the candidate only through its kind, so the
+/// environment peeks twice per step (P and S, see
+/// [`RewardModel::sim_term`]) instead of rescanning the O(L) prefix per
+/// candidate; the golden equivalence suite pins it bit-identical to the
+/// naive kernel.
 #[derive(Debug, Clone)]
 pub struct SimTracker {
     /// Template slot sequences, cloned from the owning set (templates
@@ -221,6 +223,9 @@ pub struct RewardModel {
     /// visiting two POIs of the same theme consecutively" (§IV-A1), so
     /// the theme check is part of the r2 gate.
     theme_gap: bool,
+    /// The smallest novel ideal-topic gain that passes r1
+    /// ([`RewardModel::min_gain`]).
+    min_gain: u32,
 }
 
 impl RewardModel {
@@ -233,6 +238,7 @@ impl RewardModel {
         params: &PlannerParams,
         popularity_shaping: bool,
     ) -> Self {
+        let min_gain = min_passing_gain(ideal.count_ones(), params.epsilon);
         RewardModel {
             ideal,
             templates,
@@ -244,6 +250,7 @@ impl RewardModel {
             sim: params.sim,
             popularity_shaping,
             theme_gap: popularity_shaping,
+            min_gain,
         }
     }
 
@@ -306,33 +313,55 @@ impl RewardModel {
         self.shaped(item, sim)
     }
 
-    /// [`RewardModel::reward`] over an incrementally-maintained prefix:
-    /// the [`SimTracker`] stands in for the kind sequence, turning the
-    /// per-candidate O(L) prefix rescan into O(|IT|) counter reads. The
-    /// two paths are bit-identical (same counters, same float
-    /// expressions); the naive one is retained for the golden
-    /// equivalence suite and as the benchmark baseline.
-    pub fn reward_incremental<F>(
-        &self,
-        item: &Item,
-        tracker: &SimTracker,
-        coverage: &TopicVector,
-        position_of: &F,
-        prev_topics: Option<&TopicVector>,
-    ) -> f64
-    where
-        F: Fn(ItemId) -> Option<usize>,
-    {
-        if !self.theta(
-            item,
-            tracker.prefix_len(),
-            coverage,
-            position_of,
-            prev_topics,
-        ) {
-            return 0.0; // θ = r1 · r2 = 0
+    /// The ideal topic vector `T_ideal`.
+    pub(crate) fn ideal(&self) -> &TopicVector {
+        &self.ideal
+    }
+
+    /// The smallest novel ideal-topic gain `g` for which
+    /// [`RewardModel::coverage_gate`] passes: r1 holds iff
+    /// `|T^m ∩ T_ideal \ T_current| ≥ min_gain`. Found once, with
+    /// `coverage_gate`'s own float expression, by trying every gain
+    /// `0..=|T_ideal|`; `|T_ideal| + 1` when none passes.
+    pub(crate) fn min_gain(&self) -> u32 {
+        self.min_gain
+    }
+
+    /// Whether the trip theme-gap is part of r2
+    /// ([`RewardModel::with_theme_gap`]).
+    pub(crate) fn theme_gap(&self) -> bool {
+        self.theme_gap
+    }
+
+    /// The semester (block) of sequence position `pos`: `⌊pos/gap⌋`, the
+    /// quantity [`PrereqExpr::satisfied_with_gap`] compares. An
+    /// antecedent seated at `p` satisfies r2 for a candidate at `at` iff
+    /// `block_of(p) < block_of(at)`.
+    pub(crate) fn block_of(&self, pos: usize) -> usize {
+        pos / self.gap.max(1)
+    }
+
+    /// Eq. 2's type term `β · weight_type` for `item`, including the trip
+    /// popularity shaping: the expression of the naive path's `shaped`,
+    /// kept separate so that path stays an independent oracle. Constant
+    /// per item.
+    pub(crate) fn type_term(&self, item: &Item) -> f64 {
+        let mut weight = self
+            .weights
+            .weight_of(item.is_primary(), item.category.map(|c| c.index()));
+        if self.popularity_shaping {
+            if let Some(attrs) = item.poi {
+                weight *= attrs.popularity / 5.0;
+            }
         }
-        self.shaped(item, tracker.peek_aggregate(item.kind, self.sim))
+        self.beta * weight
+    }
+
+    /// Eq. 2's similarity term `δ · Agg(prefix + [kind])` over the prefix
+    /// `tracker` holds. It depends on the candidate only through its
+    /// kind, so it takes two values per step.
+    pub(crate) fn sim_term(&self, tracker: &SimTracker, kind: ItemKind) -> f64 {
+        self.delta * tracker.peek_aggregate(kind, self.sim)
     }
 
     /// A [`SimTracker`] over this model's template set, at the empty
@@ -382,6 +411,23 @@ impl RewardModel {
         }
         self.delta * sim + self.beta * weight
     }
+}
+
+/// [`RewardModel::min_gain`]: the first gain in `0..=ideal_size` that
+/// passes r1 under `epsilon`, using the float expression of
+/// [`RewardModel::coverage_gate`]. Both branches are monotone in the
+/// gain, so every larger gain passes too.
+fn min_passing_gain(ideal_size: u32, epsilon: f64) -> u32 {
+    let passes = |gain: u32| {
+        if epsilon < 1.0 {
+            f64::from(gain) / f64::from(ideal_size.max(1)) >= epsilon
+        } else {
+            f64::from(gain) >= epsilon
+        }
+    };
+    (0..=ideal_size)
+        .find(|&g| passes(g))
+        .unwrap_or(ideal_size + 1)
 }
 
 #[cfg(test)]
@@ -635,24 +681,70 @@ mod tests {
     }
 
     #[test]
-    fn reward_incremental_matches_reward() {
+    fn min_gain_matches_coverage_gate_at_every_gain() {
+        // For each ideal size and every ε at and around the r1
+        // boundaries (k/|T_ideal| and whole counts), `gain ≥ min_gain`
+        // must agree with `coverage_gate` for every reachable gain.
+        for ideal_size in [0usize, 1, 3, 4, 7, 13, 70] {
+            let ideal = TopicVector::ones(ideal_size);
+            let empty = TopicVector::zeros(ideal_size);
+            let mut epsilons = vec![0.0, 0.3, 0.5, 0.999, 1.0, 2.0, 2.5, 80.0];
+            for k in 0..=ideal_size {
+                let at = k as f64 / ideal_size.max(1) as f64;
+                // The boundary and its two float neighbours.
+                let above = f64::from_bits(at.to_bits() + 1);
+                let below = if at > 0.0 {
+                    f64::from_bits(at.to_bits() - 1)
+                } else {
+                    -f64::MIN_POSITIVE
+                };
+                epsilons.extend([at, above, below, k as f64]);
+            }
+            for epsilon in epsilons {
+                let mut params = crate::PlannerParams::univ1_defaults();
+                params.epsilon = epsilon;
+                let model = RewardModel::new(
+                    ideal.clone(),
+                    TemplateSet::paper_course_example(),
+                    1,
+                    &params,
+                    false,
+                );
+                for gain in 0..=ideal_size {
+                    let topics = TopicVector::from_topics(
+                        ideal_size,
+                        (0..gain).map(tpp_model::TopicId::from),
+                    );
+                    assert_eq!(
+                        gain as u32 >= model.min_gain(),
+                        model.coverage_gate(&topics, &empty),
+                        "|ideal| {ideal_size}, ε {epsilon}, gain {gain}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shaped_reward_splits_into_sim_and_type_terms() {
+        // The fast peek adds the per-step `sim_term` to the per-item
+        // `type_term`; both must reproduce Eq. 2's value to the bit.
         let cat = toy::table2_catalog();
-        let model = toy_model(1.0);
-        let m2 = cat.by_code("m2").unwrap();
-        let m6 = cat.by_code("m6").unwrap();
-        let mut coverage = cat.vocabulary().zero_vector();
-        coverage.union_with(&m2.topics);
+        let model = toy_model(0.0);
+        let empty = cat.vocabulary().zero_vector();
         let pos = |id: ItemId| match id.0 {
             1 | 3 => Some(0usize),
             _ => None,
         };
         let mut tracker = model.sim_tracker();
         let mut seq = Vec::new();
-        for kind in [S, P, S] {
-            for item in [m2, m6] {
-                let naive = model.reward(item, &seq, &coverage, &pos, None);
-                let fast = model.reward_incremental(item, &tracker, &coverage, &pos, None);
-                assert_eq!(naive.to_bits(), fast.to_bits());
+        for kind in [S, P, S, P] {
+            for item in cat.items() {
+                let naive = model.reward(item, &seq, &empty, &pos, None);
+                if naive != 0.0 {
+                    let split = model.sim_term(&tracker, item.kind) + model.type_term(item);
+                    assert_eq!(naive.to_bits(), split.to_bits(), "{}", item.code);
+                }
             }
             seq.push(kind);
             tracker.push(kind);

@@ -1,25 +1,31 @@
 //! Golden equivalence suite: the incremental hot-path engine (distance
-//! matrix, `SimTracker` prefix counters, cached gate state) must be
-//! **bit-identical** to the naive engine (full Eq. 6/7 prefix rescans,
-//! per-probe haversine) on every benchmark dataset.
+//! matrix, `SimTracker` prefix counters, per-item tables, per-step
+//! reward terms) must be **bit-identical** to the naive engine (full
+//! Eq. 6/7 prefix rescans, per-probe haversine) on every benchmark
+//! dataset.
 //!
-//! Two layers of pinning:
+//! Three layers of pinning:
 //!
 //! 1. A lockstep environment walk: at every step the two engines must
 //!    agree on the valid-action set and on `peek_reward` for **every**
 //!    candidate (compared via `f64::to_bits`, not a tolerance).
 //! 2. Full `learn()` + `recommend()`: same seed → identical Q tables,
 //!    identical recommended plans, identical scores.
+//! 3. Seeded random walks under parameter variants that stress each
+//!    hoisted term of the fast path (the r1 threshold, the per-step
+//!    similarity terms, the seated blocks, the per-item type terms):
+//!    same valid sets, same gate tallies, same peeked rewards.
 //!
 //! If these ever diverge, the incremental engine has drifted from the
 //! paper's reward semantics — the naive path is the specification.
 
 use tpp_core::{
-    score_plan, PlannerParams, QReprMode, RlPlanner, ShortlistMode, StartPolicy, TppEnv,
+    score_plan, PlannerParams, QReprMode, RlPlanner, ShortlistMode, SimAggregate, StartPolicy,
+    TppEnv, TypeWeights,
 };
 use tpp_datagen::defaults::{CITY_SEED, NYC_SEED, PARIS_SEED, UNIV1_SEED, UNIV2_SEED};
 use tpp_model::PlanningInstance;
-use tpp_rl::Environment;
+use tpp_rl::{Environment, TrainRng};
 
 /// The four benchmark datasets, with training budgets trimmed so the
 /// suite stays in CI-smoke territory (equivalence holds per step, so
@@ -278,6 +284,162 @@ fn training_is_bit_identical_on_all_datasets() {
                 naive_score.to_bits(),
                 "{name} seed {seed}: scores diverge"
             );
+        }
+    }
+}
+
+/// Walks the fast and naive engines in lockstep from the default start
+/// and two seeded random starts, taking a seeded random valid action at
+/// every step, so the walk reaches states the reward-greedy path never
+/// does. At every step the valid sets, the gate tallies and every
+/// candidate's peeked reward must agree to the bit.
+fn random_walk_lockstep(
+    label: &str,
+    instance: &PlanningInstance,
+    params: &PlannerParams,
+    seed: u64,
+) {
+    let naive_params = params.clone().with_naive_hot_path(true);
+    let mut fast = TppEnv::new(instance, params);
+    let mut naive = TppEnv::new(instance, &naive_params);
+    let mut rng = TrainRng::seed_from_u64(seed);
+    let n = instance.catalog.len();
+    let starts = [start_of(instance), rng.index(n), rng.index(n)];
+    let (mut fa, mut na) = (Vec::new(), Vec::new());
+    for start in starts {
+        fast.reset(start);
+        naive.reset(start);
+        for step in 0.. {
+            fast.valid_actions(&mut fa);
+            naive.valid_actions(&mut na);
+            assert_eq!(
+                fa, na,
+                "{label} start {start}: valid sets diverge at step {step}"
+            );
+            assert_eq!(
+                fast.take_gate_counts(),
+                naive.take_gate_counts(),
+                "{label} start {start}: gate tallies diverge at step {step}"
+            );
+            if fa.is_empty() {
+                break;
+            }
+            for &cand in &fa {
+                let (rf, rn) = (fast.peek_reward(cand), naive.peek_reward(cand));
+                assert_eq!(
+                    rf.to_bits(),
+                    rn.to_bits(),
+                    "{label} start {start}: peek_reward({cand}) diverges at step {step}: {rf} vs {rn}"
+                );
+            }
+            let a = fa[rng.index(fa.len())];
+            let (of, on) = (fast.step(a), naive.step(a));
+            assert_eq!(
+                of.reward.to_bits(),
+                on.reward.to_bits(),
+                "{label}: step reward"
+            );
+            assert_eq!(of.done, on.done, "{label}: termination diverges");
+            if of.done {
+                break;
+            }
+        }
+        assert_eq!(
+            fast.plan().items(),
+            naive.plan().items(),
+            "{label}: plans diverge"
+        );
+    }
+}
+
+/// Parameter variants for [`random_walk_lockstep`], one per hoisted
+/// term: ε at every r1 boundary `k/|T_ideal|` and at whole counts
+/// (`min_gain`), the Minimum aggregate (the per-step similarity terms),
+/// gap 1–4 (the seated and current blocks), and category weights (the
+/// per-item type terms), plus all of them at once.
+fn variants(
+    instance: &PlanningInstance,
+    params: &PlannerParams,
+) -> Vec<(String, PlanningInstance, PlannerParams)> {
+    let with = |f: &dyn Fn(&mut PlannerParams)| {
+        let mut p = params.clone();
+        f(&mut p);
+        p
+    };
+    let mut out = vec![("base".to_owned(), instance.clone(), params.clone())];
+    let ideal = instance.soft.ideal_topics.count_ones().max(1);
+    for k in 0..=ideal {
+        let epsilon = f64::from(k) / f64::from(ideal);
+        out.push((
+            format!("epsilon {k}/{ideal}"),
+            instance.clone(),
+            with(&|p| p.epsilon = epsilon),
+        ));
+    }
+    for epsilon in [1.0, 2.0, 3.0] {
+        out.push((
+            format!("epsilon {epsilon}"),
+            instance.clone(),
+            with(&|p| p.epsilon = epsilon),
+        ));
+    }
+    out.push((
+        "min aggregate".to_owned(),
+        instance.clone(),
+        with(&|p| p.sim = SimAggregate::Minimum),
+    ));
+    for gap in 1..=4 {
+        let mut inst = instance.clone();
+        inst.hard.gap = gap;
+        out.push((format!("gap {gap}"), inst, params.clone()));
+    }
+    let categories = TypeWeights::Categories(vec![0.5, 0.2, 0.3]);
+    out.push((
+        "category weights".to_owned(),
+        instance.clone(),
+        with(&|p| p.weights = categories.clone()),
+    ));
+    let mut inst = instance.clone();
+    inst.hard.gap = 2;
+    out.push((
+        "all at once".to_owned(),
+        inst,
+        with(&|p| {
+            p.epsilon = 1.0 / f64::from(ideal);
+            p.sim = SimAggregate::Minimum;
+            p.weights = categories.clone();
+        }),
+    ));
+    out
+}
+
+/// The four benchmark datasets and a synthetic catalog, under every
+/// variant.
+#[test]
+fn random_walks_are_bit_identical_under_hoisted_term_variants() {
+    let mut sets = datasets();
+    let synthetic = tpp_datagen::synthetic_course_instance(
+        &tpp_datagen::SyntheticConfig::sized(60),
+        UNIV1_SEED,
+    );
+    sets.push(("synthetic", synthetic, PlannerParams::univ1_defaults()));
+    for (name, instance, params) in sets {
+        for (i, (variant, inst, p)) in variants(&instance, &params).into_iter().enumerate() {
+            random_walk_lockstep(&format!("{name} / {variant}"), &inst, &p, i as u64);
+        }
+    }
+}
+
+/// The grid shortlist gates candidates through the same gate as the full
+/// scan; walk it on Paris and on a 1k-POI city catalog.
+#[test]
+fn random_walks_are_bit_identical_on_the_shortlist_path() {
+    let paris = tpp_datagen::paris(PARIS_SEED).instance;
+    let city = tpp_datagen::city_1k(CITY_SEED).instance;
+    let params = PlannerParams::trip_defaults().with_shortlist(ShortlistMode::On);
+    for (name, instance) in [("paris", paris), ("city-1k", city)] {
+        for seed in 0..3 {
+            random_walk_lockstep(&format!("{name} shortlist"), &instance, &params, seed);
         }
     }
 }

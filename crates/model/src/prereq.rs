@@ -132,6 +132,23 @@ impl PrereqExpr {
         }
     }
 
+    /// Evaluates the AND/OR structure with `leaf` deciding each
+    /// antecedent. [`PrereqExpr::satisfied_with_gap`] is this evaluation
+    /// with the leaf `pos(p)/gap < at/gap`; a caller that keeps each
+    /// seated item's block `⌊pos/gap⌋` can pass the comparison alone and
+    /// skip the per-leaf divisions.
+    pub fn holds<F>(&self, leaf: &F) -> bool
+    where
+        F: Fn(ItemId) -> bool,
+    {
+        match self {
+            PrereqExpr::None => true,
+            PrereqExpr::Item(id) => leaf(*id),
+            PrereqExpr::All(v) => v.iter().all(|e| e.holds(leaf)),
+            PrereqExpr::Any(v) => v.iter().any(|e| e.holds(leaf)),
+        }
+    }
+
     /// Evaluates presence only (gap = 1, i.e. "strictly before").
     pub fn satisfied<F>(&self, position_of: &F, at: usize) -> bool
     where
@@ -269,6 +286,41 @@ mod tests {
         assert!(p.satisfied(&pos_in(&[1, 3]), 2));
         assert!(!p.satisfied(&pos_in(&[1]), 1));
         assert!(!p.satisfied(&pos_in(&[2, 3]), 2));
+    }
+
+    #[test]
+    fn holds_agrees_with_block_gap_semantics() {
+        // (1 AND (2 OR 3)) over every placement of items 1..=3 in a
+        // 5-slot prefix, every candidate slot and gap 1..=3: `holds`
+        // with a precomputed block leaf equals `satisfied_with_gap`.
+        let p = PrereqExpr::All(vec![
+            PrereqExpr::Item(ItemId(1)),
+            PrereqExpr::any_of([ItemId(2), ItemId(3)]),
+        ]);
+        let slots = [None, Some(0usize), Some(1), Some(2), Some(3), Some(4)];
+        for gap in 1..=3usize {
+            for &p1 in &slots {
+                for &p2 in &slots {
+                    for &p3 in &slots {
+                        let pos = |id: ItemId| match id.0 {
+                            1 => p1,
+                            2 => p2,
+                            3 => p3,
+                            _ => None,
+                        };
+                        for at in 0..6usize {
+                            let leaf = |id: ItemId| pos(id).is_some_and(|q| q / gap < at / gap);
+                            assert_eq!(
+                                p.holds(&leaf),
+                                p.satisfied_with_gap(&pos, at, gap),
+                                "gap {gap} at {at} positions {p1:?} {p2:?} {p3:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(PrereqExpr::None.holds(&|_| false));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! of every step of every episode, so this is the hottest data structure in
 //! the system. We store topic vectors as packed `u64` blocks which makes
 //! union, intersection-count and difference-count a handful of word
-//! operations (see the `ablation_bitset` bench for the measured win over a
-//! naive `Vec<bool>`).
+//! operations. The training environment copies every item's words into
+//! one flat table ([`TopicVector::blocks`]); perfbench's
+//! `env.peek_reward_ns` measures the per-candidate cost of that path.
 
 use crate::ids::TopicId;
 use serde::{Deserialize, Serialize};
@@ -114,6 +115,19 @@ impl TopicVector {
         let i = t.index();
         assert!(i < self.len, "topic {i} out of range {}", self.len);
         self.blocks[i / BLOCK_BITS] &= !(1u64 << (i % BLOCK_BITS));
+    }
+
+    /// The packed words, 64 topics each, little-endian within a word.
+    /// Bits past [`TopicVector::len`] in the last word are always zero.
+    #[inline]
+    pub fn blocks(&self) -> &[u64] {
+        &self.blocks
+    }
+
+    /// Clears every topic in place, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.blocks.fill(0);
     }
 
     /// Number of covered topics (popcount).
@@ -331,6 +345,15 @@ mod tests {
         let o = TopicVector::ones(13);
         assert_eq!(o.count_ones(), 13);
         assert_eq!(o.len(), 13);
+    }
+
+    #[test]
+    fn blocks_expose_packed_words_and_clear_keeps_length() {
+        let mut v = TopicVector::ones(70);
+        assert_eq!(v.blocks(), &[u64::MAX, (1u64 << 6) - 1]);
+        v.clear();
+        assert_eq!(v, TopicVector::zeros(70));
+        assert_eq!(v.blocks().len(), 2);
     }
 
     #[test]

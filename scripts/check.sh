@@ -19,6 +19,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run cargo test --workspace --no-fail-fast
 if [[ $quick -eq 0 ]]; then
   run cargo build --release -p rl-planner-cli
+  # perfbench's SARSA mirror must replay the planner call for call and
+  # measure every per-layer metric (structure only, no timings).
+  run scripts/perfbench_mirror.sh
   run ./target/release/rl-planner bench --load --rate 200 --duration-s 2 \
     --episodes 40 --deadline-ms 250 --workers 4 --capacity 128 \
     --chaos 'panic@10,stall@25:100,flaky@40' --seed 7 -q \
