@@ -1,12 +1,21 @@
 //! The request engine: dispatch, panic isolation, fallback tiers.
 //!
-//! [`ServeEngine::handle_line`] is the daemon's whole contract in one
-//! function: it takes a raw input line and **always** returns exactly
-//! one response line, whatever happens in between. Parse failures
-//! become `bad_request` responses; panics anywhere in the planning
-//! stack are caught, counted, reported through `tpp-obs`, and answered
-//! by a degraded tier; an expired deadline returns the best plan the
-//! budget bought, tagged — never an error.
+//! [`ServeEngine::handle_batch`] is the daemon's whole contract in one
+//! function, and its only request path: it takes a batch of raw input
+//! lines — one request, or a same-key backlog a worker drained — and
+//! **always** delivers exactly one response line per member, whatever
+//! happens in between. [`ServeEngine::handle_line`] is a batch of one.
+//! Parse failures become `bad_request` responses; panics anywhere in
+//! the planning stack are caught, counted, reported through `tpp-obs`,
+//! and answered by a degraded tier; an expired deadline returns the
+//! best plan the budget bought, tagged — never an error.
+//!
+//! A batch resolves its policy once. The first planning member to
+//! reach its primary tier fills the batch's resolution slot under the
+//! batch budget (the most generous member deadline), and every later
+//! member rolls out from the same `Arc`. Each member's own deadline
+//! runs from intake, so a member whose deadline passed while it waited
+//! is tagged `deadline_expired`/`degraded` like any other late answer.
 //!
 //! Fallback chain for planning requests (first tier that yields a plan
 //! serves the response; `tier` names it, `degraded` is `true` whenever
@@ -28,6 +37,7 @@ use crate::protocol::{extract_raw_id, parse_request, JsonObj, Op, Request};
 use crate::quarantine::{Quarantine, QuarantineConfig};
 use crate::retry::{with_backoff_budgeted, BackoffPolicy};
 use crate::transport::TransportState;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -161,8 +171,8 @@ struct TierResult {
     generation: Option<u64>,
 }
 
-/// One member of a worker batch (see [`ServeEngine::handle_batch`]):
-/// the raw request line plus the trace context minted at ingestion.
+/// One member of a batch (see [`ServeEngine::handle_batch`]): the raw
+/// request line plus the trace context minted at ingestion.
 pub struct BatchItem<'a> {
     /// The raw request line.
     pub line: &'a str,
@@ -170,25 +180,81 @@ pub struct BatchItem<'a> {
     pub trace: tpp_obs::TraceCtx,
 }
 
-/// The policy resolution a whole batch shares: one cache lookup, one
-/// checkpoint deserialize, one training run if cold — whatever the
-/// primary tier would have done per request.
+/// A planning request as settled at intake: its dataset, start item and
+/// planner parameters, and its own deadline clock.
+struct Target {
+    name: String,
+    ds: Arc<DatasetEntry>,
+    start: ItemId,
+    /// The dataset's parameters at `start` (for `plan`, with the
+    /// request's capped episode count).
+    params: PlannerParams,
+    /// The member's own deadline, running from intake.
+    budget: Budget,
+}
+
+impl Target {
+    /// The request's quarantine identity: the same (dataset, constraint
+    /// signature, source) triple the policy cache keys on — except
+    /// `recommend` keys are generation-agnostic (token 0), because a
+    /// request shape that kills workers does so regardless of which
+    /// checkpoint generation is newest.
+    fn quarantine_key(&self, req: &Request) -> PolicyKey {
+        let source = match req.op {
+            Op::Plan => PolicySource::Trained {
+                seed: req.seed,
+                episodes: self.params.episodes as u64,
+                start: self.start.0 as usize,
+            },
+            _ => PolicySource::Checkpoint { token: 0 },
+        };
+        PolicyKey {
+            dataset: self.name.clone(),
+            signature: self.ds.signature,
+            source,
+        }
+    }
+}
+
+/// One batch member after intake.
+struct Member {
+    parsed: Result<Request, String>,
+    /// Planning ops only: the settled target, or why it did not settle.
+    target: Option<Result<Target, String>>,
+    faults: Vec<ChaosFault>,
+    ordinal: u64,
+    started: Instant,
+}
+
+impl Member {
+    /// The settled target of a planning request.
+    fn target(&self) -> Option<&Target> {
+        self.target.as_ref()?.as_ref().ok()
+    }
+}
+
+/// A policy resolution: one cache lookup, one checkpoint deserialize,
+/// one training run if cold — whatever the primary tier needs before
+/// its rollout.
 struct SharedResolution {
     policy: Arc<CachedPolicy>,
     tier: &'static str,
     retries: u32,
-    episodes: Option<u64>,
+    /// Served from (or coalesced onto) a cached policy.
     cached: bool,
-    generation: Option<u64>,
 }
 
-/// A batch member's view of the shared resolution.
-struct BatchShare<'a> {
-    resolution: &'a Result<SharedResolution, String>,
+/// What the members of one batch share.
+struct BatchShare {
     size: usize,
-    /// The member that led the resolution reports its true cache
-    /// outcome; every other member was answered from the shared `Arc`.
-    leader: bool,
+    /// The most generous member deadline, counted from intake: the
+    /// resolution serves everyone, so it may use the longest runway any
+    /// member paid for.
+    budget: Budget,
+    /// Filled by the first planning member that reaches its primary
+    /// tier. A failed or panicked resolution is stored too, so no
+    /// member runs it again.
+    slot: OnceCell<Result<SharedResolution, String>>,
 }
 
 impl ServeEngine {
@@ -270,179 +336,52 @@ impl ServeEngine {
     }
 
     /// Handles one raw input line; always returns one response line.
-    /// This function itself must never panic — the outer
-    /// `catch_unwind` covers every tier, including the floor.
-    ///
-    /// Every request runs under a trace context: the server's workers
-    /// install the context minted at ingestion before calling this, and
-    /// direct callers (tests, one-shot tools) get a fresh root here, so
-    /// all events the request causes — including those inside
-    /// `catch_unwind` recovery — share one `trace_id`.
+    /// It is a batch of one through [`handle_batch`](Self::handle_batch),
+    /// under the caller's trace context: the server's workers install
+    /// the one minted at ingestion, and direct callers (tests, one-shot
+    /// tools) get a fresh root here.
     pub fn handle_line(&self, line: &str) -> String {
-        let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        tpp_obs::metrics().counter("serve.requests").inc();
-        let ctx = tpp_obs::trace::current().unwrap_or_else(tpp_obs::TraceCtx::root);
-        let _trace = tpp_obs::trace::enter(ctx);
-        let started = Instant::now();
-
-        let (op_name, response) = match parse_request(line) {
-            Err(msg) => {
-                self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                tpp_obs::metrics().counter("serve.bad_request").inc();
-                // Even unparsable requests stay correlatable when the
-                // raw line carried a recoverable string id.
-                let resp = JsonObj::new()
-                    .bool("ok", false)
-                    .nullable_str("id", extract_raw_id(line).as_deref())
-                    .str("error", &format!("bad_request: {msg}"))
-                    .finish();
-                ("bad_request", resp)
-            }
-            Ok(req) => {
-                let op_name = req.op.as_str();
-                let _span = tpp_obs::span(Level::Debug, "serve.request")
-                    .with("op", op_name)
-                    .with("ordinal", ordinal);
-                let faults = self.config.chaos.take(ordinal);
-                let caught = catch_unwind(AssertUnwindSafe(|| self.dispatch(&req, &faults)));
-                let resp = match caught {
-                    Ok(resp) => resp,
-                    Err(payload) if payload.is::<WorkerKill>() => {
-                        // The one panic allowed past per-request
-                        // isolation: a chaos worker-kill. Strike the
-                        // request's quarantine key (this shape just
-                        // killed a worker) and resume the unwind so
-                        // the death reaches the supervisor — the
-                        // worker's rescue guard still answers the
-                        // client.
-                        self.strike_quarantine(&req);
-                        tpp_obs::metrics().counter("serve.chaos_kill").inc();
-                        obs_event!(Level::Error, "serve.chaos_kill", op = op_name);
-                        std::panic::resume_unwind(payload);
-                    }
-                    Err(payload) => {
-                        self.strike_quarantine(&req);
-                        self.answer_after_panic(&req, &payload)
-                    }
-                };
-                (op_name, resp)
-            }
-        };
-
-        let elapsed = started.elapsed();
-        tpp_obs::metrics()
-            .histogram("serve.latency_ms")
-            .record(elapsed.as_millis() as u64);
-        tpp_obs::metrics()
-            .histogram(&format!("serve.op.{op_name}_us"))
-            .record_duration(elapsed);
-        if self
-            .config
-            .slow_request_ms
-            .is_some_and(|ms| elapsed.as_millis() as u64 > ms)
-        {
-            obs_event!(
-                Level::Warn,
-                "serve.slow_request",
-                op = op_name,
-                elapsed_ms = elapsed.as_millis() as u64,
-            );
-            self.dump_flight("slow");
-        }
-        self.counters.answered.fetch_add(1, Ordering::Relaxed);
+        let trace = tpp_obs::trace::current().unwrap_or_else(tpp_obs::TraceCtx::root);
+        let mut response = String::new();
+        self.handle_batch(&[BatchItem { line, trace }], &mut |_, r| response = r);
         response
     }
 
-    /// Handles a whole same-key batch formed at dequeue: per-member
-    /// bookkeeping mirrors [`handle_line`](Self::handle_line) exactly —
-    /// each member takes its own ordinal (chaos faults stay keyed to
-    /// arrival order), runs under its own trace context, gets its own
-    /// `plan`-phase rollout timing and latency metrics, and is panic-
-    /// isolated individually — but the policy is resolved **once** and
-    /// every member is answered from the shared `Arc<CachedPolicy>`.
-    /// `deliver` is called with `(member index, response)` as each
-    /// response is produced, so early members reach their connections
-    /// while later ones serialize.
+    /// Handles a batch of requests and delivers exactly one response
+    /// per member. `deliver` is called with `(member index, response)`
+    /// as each response is produced, so early members reach their
+    /// connections while later ones serialize. Nothing here panics out:
+    /// each member runs under its own `catch_unwind`, down to the floor
+    /// tier. The one exception is a chaos worker-kill, which escapes on
+    /// purpose so the supervisor sees a death.
+    ///
+    /// The members of a batch of two or more must share a batch key
+    /// (the worker pool drains them that way), because they share one
+    /// policy resolution. Each member keeps its own ordinal (chaos
+    /// faults stay keyed to arrival order), trace context, deadline,
+    /// rollout, panic isolation and latency metrics.
     pub fn handle_batch(&self, members: &[BatchItem<'_>], deliver: &mut dyn FnMut(usize, String)) {
-        if members.is_empty() {
-            return;
-        }
-        if members.len() == 1 {
-            let _trace = tpp_obs::trace::enter(members[0].trace);
-            let response = self.handle_line(members[0].line);
-            deliver(0, response);
-            return;
-        }
-        struct Member {
-            parsed: Result<Request, String>,
-            faults: Vec<ChaosFault>,
-            ordinal: u64,
-            started: Instant,
-        }
         // Intake in arrival order, before any work, so chaos schedules
         // and the request counter see the same sequence a sequential
-        // worker would have produced.
-        let intake: Vec<Member> = members
-            .iter()
-            .map(|m| {
-                let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                tpp_obs::metrics().counter("serve.requests").inc();
-                Member {
-                    parsed: parse_request(m.line),
-                    faults: self.config.chaos.take(ordinal),
-                    ordinal,
-                    started: Instant::now(),
-                }
-            })
-            .collect();
-
+        // worker would have produced, and every member's deadline clock
+        // starts before the batch does any work.
+        let intake: Vec<Member> = members.iter().map(|m| self.intake(m)).collect();
         let n = members.len() as u64;
-        let t = &self.transport;
-        t.batches_formed.fetch_add(1, Ordering::Relaxed);
-        t.batch_members.fetch_add(n, Ordering::Relaxed);
-        t.amortized_loads.fetch_add(n - 1, Ordering::Relaxed);
-        let m = tpp_obs::metrics();
-        m.counter("serve.batch.formed").inc();
-        m.counter("serve.batch.amortized_loads").add(n - 1);
-        m.histogram("serve.batch.size").record(n);
-        obs_event!(Level::Info, "serve.batch", size = n);
-
-        // One shared policy resolution, led by the first member that
-        // parses as a planning request, under that member's trace. The
-        // resolution budget is the most generous member deadline — the
-        // value serves everyone, so it may use the longest runway any
-        // member paid for; each member's own deadline still gates its
-        // rollout and serialization below.
-        let leader = intake
-            .iter()
-            .position(|m| matches!(&m.parsed, Ok(r) if matches!(r.op, Op::Plan | Op::Recommend)));
-        let resolution: Result<SharedResolution, String> = match leader {
-            None => Err("no planning request in batch".to_owned()),
-            Some(li) => {
-                let mut unlimited = false;
-                let mut max_ms = 0u64;
-                for member in &intake {
-                    if let Ok(req) = &member.parsed {
-                        match req.deadline_ms.or(self.config.default_deadline_ms) {
-                            None => unlimited = true,
-                            Some(ms) => max_ms = max_ms.max(ms),
-                        }
-                    }
-                }
-                let budget = if unlimited {
-                    Budget::unlimited()
-                } else {
-                    Budget::unlimited().with_deadline(Duration::from_millis(max_ms))
-                };
-                let flaky_load = intake[li].faults.contains(&ChaosFault::FlakyLoad);
-                let _trace = tpp_obs::trace::enter(members[li].trace);
-                match &intake[li].parsed {
-                    Ok(req) => self.resolve_for_batch(req, &budget, flaky_load),
-                    Err(_) => unreachable!("leader position requires Ok"),
-                }
-            }
+        if n > 1 {
+            let t = &self.transport;
+            t.batches_formed.fetch_add(1, Ordering::Relaxed);
+            t.batch_members.fetch_add(n, Ordering::Relaxed);
+            t.amortized_loads.fetch_add(n - 1, Ordering::Relaxed);
+            let m = tpp_obs::metrics();
+            m.counter("serve.batch.formed").inc();
+            m.counter("serve.batch.amortized_loads").add(n - 1);
+            m.histogram("serve.batch.size").record(n);
+            obs_event!(Level::Info, "serve.batch", size = n);
+        }
+        let share = BatchShare {
+            size: members.len(),
+            budget: batch_budget(&intake),
+            slot: OnceCell::new(),
         };
 
         for (i, (item, member)) in members.iter().zip(&intake).enumerate() {
@@ -451,6 +390,8 @@ impl ServeEngine {
                 Err(msg) => {
                     self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
                     tpp_obs::metrics().counter("serve.bad_request").inc();
+                    // Even unparsable requests stay correlatable when the
+                    // raw line carried a recoverable string id.
                     let resp = JsonObj::new()
                         .bool("ok", false)
                         .nullable_str("id", extract_raw_id(item.line).as_deref())
@@ -460,35 +401,32 @@ impl ServeEngine {
                 }
                 Ok(req) => {
                     let op_name = req.op.as_str();
-                    let _span = tpp_obs::span(Level::Debug, "serve.request")
+                    let mut span = tpp_obs::span(Level::Debug, "serve.request")
                         .with("op", op_name)
-                        .with("ordinal", member.ordinal)
-                        .with("batched", true);
-                    let share = BatchShare {
-                        resolution: &resolution,
-                        size: members.len(),
-                        leader: Some(i) == leader,
-                    };
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        self.dispatch_batched(req, &member.faults, &share)
-                    }));
-                    let resp = match caught {
-                        Ok(resp) => resp,
-                        Err(payload) if payload.is::<WorkerKill>() => {
-                            // Same contract as `handle_line`: let the
-                            // kill escape to the supervisor — the batch
-                            // rescue guard answers this member and
-                            // every later one during the unwind.
-                            self.strike_quarantine(req);
-                            tpp_obs::metrics().counter("serve.chaos_kill").inc();
-                            obs_event!(Level::Error, "serve.chaos_kill", op = op_name);
-                            std::panic::resume_unwind(payload);
-                        }
-                        Err(payload) => {
-                            self.strike_quarantine(req);
-                            self.answer_after_panic(req, &payload)
-                        }
-                    };
+                        .with("ordinal", member.ordinal);
+                    if n > 1 {
+                        span.record("batched", true);
+                    }
+                    let resp =
+                        catch_unwind(AssertUnwindSafe(|| self.dispatch(req, member, &share)))
+                            .unwrap_or_else(|payload| {
+                                // This request shape just panicked or killed a
+                                // worker: one quarantine strike either way.
+                                if let Some(target) = member.target() {
+                                    self.quarantine.strike(&target.quarantine_key(req));
+                                }
+                                if payload.is::<WorkerKill>() {
+                                    // The one panic allowed past per-request
+                                    // isolation: a chaos worker-kill resumes
+                                    // its unwind so the death reaches the
+                                    // supervisor — the worker's rescue guard
+                                    // answers this member and every later one.
+                                    tpp_obs::metrics().counter("serve.chaos_kill").inc();
+                                    obs_event!(Level::Error, "serve.chaos_kill", op = op_name);
+                                    std::panic::resume_unwind(payload);
+                                }
+                                self.answer_after_panic(req, member, &share, &payload)
+                            });
                     (op_name, resp)
                 }
             };
@@ -517,72 +455,62 @@ impl ServeEngine {
         }
     }
 
-    /// Resolves the one policy a batch shares, with the same quarantine
-    /// gate and panic accounting the per-request path applies. An error
-    /// here sends every member down its own degradation chain.
-    fn resolve_for_batch(
-        &self,
-        req: &Request,
-        budget: &Budget,
-        flaky_load: bool,
-    ) -> Result<SharedResolution, String> {
+    /// Takes one member in, under its own trace: ordinal, request
+    /// counters, parse, chaos faults and, for a planning op, its target.
+    fn intake(&self, item: &BatchItem<'_>) -> Member {
+        let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        tpp_obs::metrics().counter("serve.requests").inc();
+        let _trace = tpp_obs::trace::enter(item.trace);
+        let started = Instant::now();
+        let parsed = parse_request(item.line);
+        let target = match &parsed {
+            Ok(req) if matches!(req.op, Op::Plan | Op::Recommend) => Some(
+                catch_unwind(AssertUnwindSafe(|| self.target(req))).unwrap_or_else(|payload| {
+                    self.note_panic(&payload);
+                    Err(format!("internal: {}", panic_message(&payload)))
+                }),
+            ),
+            _ => None,
+        };
+        Member {
+            parsed,
+            target,
+            faults: self.config.chaos.take(ordinal),
+            ordinal,
+            started,
+        }
+    }
+
+    /// Resolves a planning request's dataset and start, then starts its
+    /// deadline clock. The clock starts before any chaos stall, so a
+    /// stalled handler visibly eats its own deadline — exactly what a
+    /// production stall would do.
+    fn target(&self, req: &Request) -> Result<Target, String> {
         let name = req
             .dataset
             .as_deref()
             .ok_or_else(|| "missing \"dataset\"".to_owned())?;
         let ds = self.dataset(name)?;
         let start = self.resolve_start(&ds.instance, req.start.as_deref())?;
-        if let Some(remaining) = self
-            .quarantine_key(req)
-            .and_then(|key| self.quarantine.active(&key))
-        {
-            // Every member's own quarantine gate will serve the
-            // degraded chain; skip feeding the poison to a resolution.
-            return Err(format!(
-                "quarantined: cooling down for {}ms",
-                remaining.as_millis()
-            ));
+        let mut params = ds.params.clone().with_start(start);
+        if req.op == Op::Plan {
+            params.episodes = req
+                .episodes
+                .unwrap_or(params.episodes as u64)
+                .min(self.config.max_episodes) as usize;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| match req.op {
-            Op::Plan => {
-                let mut params = ds.params.clone().with_start(start);
-                params.episodes = req
-                    .episodes
-                    .unwrap_or(params.episodes as u64)
-                    .min(self.config.max_episodes) as usize;
-                self.resolve_trained(req, name, &ds, &params, start, budget)
-            }
-            Op::Recommend => self.resolve_checkpoint(name, &ds, budget, flaky_load),
-            _ => Err("not a planning op".to_owned()),
-        }));
-        match outcome {
-            Ok(resolved) => resolved,
-            Err(payload) => {
-                self.strike_quarantine(req);
-                self.note_panic(&payload);
-                Err(format!("resolution panicked ({})", panic_message(&payload)))
-            }
-        }
-    }
-
-    /// Batched dispatch: chaos faults apply per member exactly as in
-    /// [`dispatch`](Self::dispatch); planning ops answer from the
-    /// shared resolution; anything else (unreachable through batch
-    /// formation, which only keys planning ops) serves normally.
-    fn dispatch_batched(&self, req: &Request, faults: &[ChaosFault], share: &BatchShare) -> String {
-        if faults.contains(&ChaosFault::KillWorker) {
-            std::panic::panic_any(WorkerKill);
-        }
-        if faults.contains(&ChaosFault::Panic) {
-            panic!("chaos: injected panic while handling request");
-        }
-        if faults.contains(&ChaosFault::CorruptCheckpoint) {
-            self.corrupt_newest_checkpoint();
-        }
-        match req.op {
-            Op::Plan | Op::Recommend => self.answer_planning_shared(req, faults, Some(share)),
-            _ => self.dispatch(req, &[]),
-        }
+        let budget = match req.deadline_ms.or(self.config.default_deadline_ms) {
+            Some(ms) => Budget::unlimited().with_deadline(Duration::from_millis(ms)),
+            None => Budget::unlimited(),
+        };
+        Ok(Target {
+            name: name.to_owned(),
+            ds,
+            start,
+            params,
+            budget,
+        })
     }
 
     /// Builds the `overloaded` shed response for a raw line (called by
@@ -626,9 +554,10 @@ impl ServeEngine {
             .finish()
     }
 
-    fn dispatch(&self, req: &Request, faults: &[ChaosFault]) -> String {
+    fn dispatch(&self, req: &Request, member: &Member, share: &BatchShare) -> String {
+        let faults = &member.faults;
         if faults.contains(&ChaosFault::KillWorker) {
-            // Raised as a typed marker so `handle_line` can recognize
+            // Raised as a typed marker so `handle_batch` can recognize
             // it and deliberately let it escape (killing the worker).
             std::panic::panic_any(WorkerKill);
         }
@@ -639,13 +568,32 @@ impl ServeEngine {
             self.corrupt_newest_checkpoint();
         }
         // Stalls burn the request's own budget, so they are applied
-        // after it starts (inside answer_planning).
-        match req.op {
-            Op::Health => self.health_response(req),
-            Op::Stats => self.stats_response(req),
-            Op::Metrics => self.metrics_response(req),
-            Op::Shutdown => self.shutdown_response(req),
-            Op::Plan | Op::Recommend => self.answer_planning(req, faults),
+        // inside answer_planning.
+        self.answer(req, member, faults, share, None)
+    }
+
+    /// Answers a request whose panic-type chaos faults already fired:
+    /// control ops directly, planning ops down the fallback chain.
+    /// `panicked` names why the primary tier is skipped after a
+    /// dispatch panic.
+    fn answer(
+        &self,
+        req: &Request,
+        member: &Member,
+        faults: &[ChaosFault],
+        share: &BatchShare,
+        panicked: Option<String>,
+    ) -> String {
+        match &member.target {
+            Some(Ok(target)) => self.answer_planning(req, target, faults, share, panicked),
+            Some(Err(msg)) => self.error_response(req, msg),
+            None => match req.op {
+                Op::Health => self.health_response(req),
+                Op::Stats => self.stats_response(req),
+                Op::Metrics => self.metrics_response(req),
+                Op::Shutdown => self.shutdown_response(req),
+                Op::Plan | Op::Recommend => unreachable!("intake gives planning ops a target"),
+            },
         }
     }
 
@@ -669,41 +617,21 @@ impl ServeEngine {
             .finish()
     }
 
-    /// The planning path: primary tier, then the degradation chain.
-    fn answer_planning(&self, req: &Request, faults: &[ChaosFault]) -> String {
-        self.answer_planning_shared(req, faults, None)
-    }
-
-    /// The planning path, optionally answering from a batch's shared
-    /// policy resolution instead of resolving per request. With
-    /// `shared: None` this is byte-identical to the unbatched path.
-    fn answer_planning_shared(
+    /// The planning path: the member's chaos stalls, then the primary
+    /// tier (skipped after a dispatch panic or while the key is
+    /// quarantined), then the degradation chain.
+    fn answer_planning(
         &self,
         req: &Request,
+        target: &Target,
         faults: &[ChaosFault],
-        shared: Option<&BatchShare>,
+        share: &BatchShare,
+        panicked: Option<String>,
     ) -> String {
-        let Some(name) = req.dataset.as_deref() else {
-            return self.error_response(req, "missing \"dataset\"");
-        };
-        let ds = match self.dataset(name) {
-            Ok(ds) => ds,
-            Err(msg) => return self.error_response(req, &msg),
-        };
-        let (instance, params) = (&ds.instance, &ds.params);
-        let start = match self.resolve_start(instance, req.start.as_deref()) {
-            Ok(s) => s,
-            Err(msg) => return self.error_response(req, &msg),
-        };
-
-        // The budget starts before any chaos stall, so a stalled handler
-        // visibly eats its own deadline — exactly what a production
-        // stall would do.
-        let deadline_ms = req.deadline_ms.or(self.config.default_deadline_ms);
-        let budget = match deadline_ms {
-            Some(ms) => Budget::unlimited().with_deadline(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
-        };
+        let Target {
+            name, ds, budget, ..
+        } = target;
+        let instance = &ds.instance;
         for f in faults {
             match f {
                 ChaosFault::Stall(d) => {
@@ -729,9 +657,9 @@ impl ServeEngine {
                 _ => {}
             }
         }
-        let flaky_load = faults.contains(&ChaosFault::FlakyLoad);
 
-        let mut fell_back_because: Vec<String> = Vec::new();
+        let after_panic = panicked.is_some();
+        let mut fell_back_because: Vec<String> = panicked.into_iter().collect();
         let primary: &'static str = match req.op {
             Op::Plan => "train",
             _ => "policy",
@@ -740,9 +668,11 @@ impl ServeEngine {
         // engine skips the primary tier entirely for its cooldown —
         // the EDA/partial chain answers immediately instead of feeding
         // the poison to another worker.
-        let quarantined_for = self
-            .quarantine_key(req)
-            .and_then(|key| self.quarantine.active(&key));
+        let quarantined_for = if after_panic {
+            None
+        } else {
+            self.quarantine.active(&target.quarantine_key(req))
+        };
         if let Some(remaining) = quarantined_for {
             fell_back_because.push(format!(
                 "quarantined: key panicked repeatedly; cooling down for {}ms",
@@ -751,31 +681,17 @@ impl ServeEngine {
             obs_event!(
                 Level::Warn,
                 "serve.quarantine_hit",
-                dataset = name,
+                dataset = name.as_str(),
                 remaining_ms = remaining.as_millis() as u64,
             );
         }
-        let result = if quarantined_for.is_some() {
-            self.try_eda_tier(req, instance, params, start, &mut fell_back_because)
-                .or_else(|| self.try_partial_tier(instance, params, start, &mut fell_back_because))
+        let result = if fell_back_because.is_empty() {
+            self.primary_tier(req, target, faults, share, &mut fell_back_because)
         } else {
-            match shared {
-                Some(share) => {
-                    self.try_shared_primary(req, &ds, start, share, &mut fell_back_because)
-                }
-                None => self.try_primary_tier(
-                    req,
-                    name,
-                    &ds,
-                    start,
-                    &budget,
-                    flaky_load,
-                    &mut fell_back_because,
-                ),
-            }
-            .or_else(|| self.try_eda_tier(req, instance, params, start, &mut fell_back_because))
-            .or_else(|| self.try_partial_tier(instance, params, start, &mut fell_back_because))
-        };
+            None
+        }
+        .or_else(|| self.try_eda_tier(req, target, &mut fell_back_because))
+        .or_else(|| self.try_partial_tier(target, &mut fell_back_because));
 
         let Some(result) = result else {
             // Even the floor panicked — answer with an error, stay alive.
@@ -783,13 +699,12 @@ impl ServeEngine {
                 .error_response(req, &format!("internal: {}", fell_back_because.join("; ")));
         };
 
-        if shared.is_some() {
-            // Shared resolution ran under the *batch* budget, so this
-            // member's own deadline was never consulted by compute —
-            // latch it here so `degraded`/`deadline_expired` (and the
-            // overrun flight dump below) stay faithful per member.
-            budget.poll();
-        }
+        // The member's own deadline shaped no compute here (the primary
+        // tier runs under the batch budget; a cache hit or a fallback
+        // tier runs under none), so consult it before it shapes the
+        // response: a member whose deadline passed while it waited is
+        // tagged like any other late answer.
+        budget.poll();
         let degraded = result.tier != primary || budget.expired();
         if degraded {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
@@ -804,7 +719,7 @@ impl ServeEngine {
             Level::Info,
             "serve.answered",
             op = req.op.as_str(),
-            dataset = name,
+            dataset = name.as_str(),
             tier = result.tier,
             degraded = degraded,
             cached = result.cached,
@@ -812,9 +727,14 @@ impl ServeEngine {
 
         let response = phase_timed("serialize", || {
             let violations = plan_violations(instance, &result.plan);
-            let mut obj = JsonObj::new()
-                .bool("ok", true)
-                .opt_str("id", req.id.as_deref())
+            let obj = JsonObj::new().bool("ok", true);
+            // A panic answer promises the `id` key, `null` if need be.
+            let obj = if after_panic {
+                obj.nullable_str("id", req.id.as_deref())
+            } else {
+                obj.opt_str("id", req.id.as_deref())
+            };
+            let mut obj = obj
                 .str("op", req.op.as_str())
                 .str("dataset", name)
                 .str("tier", result.tier)
@@ -825,7 +745,7 @@ impl ServeEngine {
             if quarantined_for.is_some() {
                 obj = obj.bool("quarantined", true);
             }
-            if let Some(share) = shared {
+            if share.size > 1 {
                 obj = obj
                     .bool("batched", true)
                     .u64("batch_size", share.size as u64);
@@ -858,48 +778,38 @@ impl ServeEngine {
         response
     }
 
-    /// Tier 1: budgeted training (`plan`) or checkpoint policy with
-    /// budget-capped retry (`recommend`), both fronted by the policy
-    /// cache. `None` → fall down the chain.
-    #[allow(clippy::too_many_arguments)]
-    fn try_primary_tier(
+    /// Tier 1: the batch's policy resolution, run here by the first
+    /// member to arrive and reused by every later one, then this
+    /// member's own rollout. Both are panic-isolated. `None` → fall
+    /// down the chain.
+    fn primary_tier(
         &self,
         req: &Request,
-        name: &str,
-        ds: &DatasetEntry,
-        start: ItemId,
-        budget: &Budget,
-        flaky_load: bool,
-        reasons: &mut Vec<String>,
-    ) -> Option<TierResult> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| match req.op {
-            Op::Plan => self.plan_tier(req, name, ds, start, budget),
-            Op::Recommend => self.recommend_tier(req, name, ds, start, budget, flaky_load),
-            // Health/stats never reach the planning path.
-            _ => Err("not a planning op".to_owned()),
-        }));
-        if outcome.is_err() {
-            // The primary tier panicked on this key: one quarantine
-            // strike (K of these and the key is served degraded
-            // without touching the planning stack at all).
-            self.strike_quarantine(req);
-        }
-        self.settle_tier("primary", outcome, reasons)
-    }
-
-    /// Answers one batch member from the batch's shared resolution:
-    /// its own rollout (own `plan`-phase timing, own panic isolation),
-    /// no second cache lookup or training run. A failed resolution
-    /// sends the member down the degradation chain with the reason.
-    fn try_shared_primary(
-        &self,
-        req: &Request,
-        ds: &DatasetEntry,
-        start: ItemId,
+        target: &Target,
+        faults: &[ChaosFault],
         share: &BatchShare,
         reasons: &mut Vec<String>,
     ) -> Option<TierResult> {
-        match share.resolution {
+        let mut led = false;
+        let resolution = share.slot.get_or_init(|| {
+            led = true;
+            let budget = &share.budget;
+            let flaky_load = faults.contains(&ChaosFault::FlakyLoad);
+            catch_unwind(AssertUnwindSafe(|| match req.op {
+                Op::Plan => self.resolve_trained(req, target, budget),
+                _ => self.resolve_checkpoint(target, budget, flaky_load),
+            }))
+            .unwrap_or_else(|payload| {
+                // The resolution panicked on this key: one quarantine
+                // strike (K of these and the key is served degraded
+                // without touching the planning stack at all).
+                self.quarantine.strike(&target.quarantine_key(req));
+                self.note_panic(&payload);
+                Err(format!("panicked ({})", panic_message(&payload)))
+            })
+        });
+        let resolved = match resolution {
+            Ok(resolved) => resolved,
             Err(e) => {
                 obs_event!(
                     Level::Warn,
@@ -908,88 +818,49 @@ impl ServeEngine {
                     error = e
                 );
                 reasons.push(format!("primary: {e}"));
-                None
+                return None;
             }
-            Ok(resolved) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let instance = &ds.instance;
-                    // Params mirror the unbatched tier exactly (batch
-                    // keys pin op/seed/episodes/start, so every member
-                    // computes the same ones) — the rollout is
-                    // bit-identical to a sequential serve.
-                    let mut params = ds.params.clone().with_start(start);
-                    if matches!(req.op, Op::Plan) {
-                        params.episodes =
-                            req.episodes
-                                .unwrap_or(params.episodes as u64)
-                                .min(self.config.max_episodes) as usize;
-                    }
-                    let plan = recommend_timed(&resolved.policy.q, instance, &params, start);
-                    Ok(TierResult {
-                        plan,
-                        tier: resolved.tier,
-                        retries: resolved.retries,
-                        episodes: resolved.episodes,
-                        cached: if share.leader { resolved.cached } else { true },
-                        generation: resolved.generation,
-                    })
-                }));
-                if outcome.is_err() {
-                    self.strike_quarantine(req);
-                }
-                self.settle_tier("primary", outcome, reasons)
-            }
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let plan = recommend_timed(
+                &resolved.policy.q,
+                &target.ds.instance,
+                &target.params,
+                target.start,
+            );
+            Ok(TierResult {
+                plan,
+                tier: resolved.tier,
+                retries: resolved.retries,
+                episodes: resolved.policy.episodes,
+                // The member that ran the resolution reports its true
+                // cache outcome; every later one shares its `Arc`.
+                cached: resolved.cached || !led,
+                generation: resolved.policy.generation,
+            })
+        }));
+        if outcome.is_err() {
+            self.quarantine.strike(&target.quarantine_key(req));
         }
+        self.settle_tier("primary", outcome, reasons)
     }
 
-    /// Budgeted SARSA training behind the cache: a burst of identical
-    /// `plan` requests (same dataset, seed, episodes, start) costs one
-    /// training run — the leader trains, followers coalesce, later
-    /// requests hit the cached `Arc<CachedPolicy>`.
-    fn plan_tier(
-        &self,
-        req: &Request,
-        name: &str,
-        ds: &DatasetEntry,
-        start: ItemId,
-        budget: &Budget,
-    ) -> Result<TierResult, String> {
-        let instance = &ds.instance;
-        let mut params = ds.params.clone().with_start(start);
-        params.episodes = req
-            .episodes
-            .unwrap_or(params.episodes as u64)
-            .min(self.config.max_episodes) as usize;
-        let resolved = self.resolve_trained(req, name, ds, &params, start, budget)?;
-        let plan = recommend_timed(&resolved.policy.q, instance, &params, start);
-        Ok(TierResult {
-            plan,
-            tier: resolved.tier,
-            retries: resolved.retries,
-            episodes: resolved.episodes,
-            cached: resolved.cached,
-            generation: resolved.generation,
-        })
-    }
-
-    /// Resolves the trained policy for a `plan` request — cache hit,
-    /// coalesce onto an in-flight leader, lead a training run, or train
-    /// solo — without performing the rollout.
+    /// Resolves the trained policy for a `plan` request behind the
+    /// cache: a burst of identical requests (same dataset, seed,
+    /// episodes, start) costs one training run — the leader trains,
+    /// followers coalesce, later requests hit the cached `Arc`.
     fn resolve_trained(
         &self,
         req: &Request,
-        name: &str,
-        ds: &DatasetEntry,
-        params: &PlannerParams,
-        start: ItemId,
+        target: &Target,
         budget: &Budget,
     ) -> Result<SharedResolution, String> {
-        let instance = &ds.instance;
-        if !self.cache.is_enabled() {
+        // Budgeted SARSA for this request alone, not yet cached.
+        let train = || -> Result<SharedResolution, String> {
             let (q, episodes) = phase_timed("train", || {
-                Self::train_policy(instance, params, req.seed, budget)
+                Self::train_policy(&target.ds.instance, &target.params, req.seed, budget)
             })?;
-            return Ok(SharedResolution {
+            Ok(SharedResolution {
                 policy: Arc::new(CachedPolicy {
                     q,
                     episodes: Some(episodes),
@@ -997,19 +868,20 @@ impl ServeEngine {
                 }),
                 tier: "train",
                 retries: 0,
-                episodes: Some(episodes),
                 cached: false,
-                generation: None,
-            });
+            })
+        };
+        if !self.cache.is_enabled() {
+            return train();
         }
 
         let key = PolicyKey {
-            dataset: name.to_owned(),
-            signature: ds.signature,
+            dataset: target.name.clone(),
+            signature: target.ds.signature,
             source: PolicySource::Trained {
                 seed: req.seed,
-                episodes: params.episodes as u64,
-                start: start.0 as usize,
+                episodes: target.params.episodes as u64,
+                start: target.start.0 as usize,
             },
         };
         let mut span = tpp_obs::span(Level::Debug, "serve.cache").with("op", "plan");
@@ -1018,182 +890,123 @@ impl ServeEngine {
         }) {
             Lookup::Hit(policy) | Lookup::Coalesced(policy) => {
                 span.record("outcome", "shared");
-                let episodes = policy.episodes;
                 Ok(SharedResolution {
                     policy,
                     tier: "train",
                     retries: 0,
-                    episodes,
                     cached: true,
-                    generation: None,
                 })
             }
             Lookup::Lead(guard) => {
                 span.record("outcome", "lead");
                 // The guard's Drop fails the flight if training panics,
                 // so followers wake and fall back instead of wedging.
-                let (q, episodes) = match phase_timed("train", || {
-                    Self::train_policy(instance, params, req.seed, budget)
-                }) {
-                    Ok(trained) => trained,
+                let resolved = match train() {
+                    Ok(resolved) => resolved,
                     Err(e) => {
                         guard.fail(&e);
                         return Err(e);
                     }
                 };
-                let value = Arc::new(CachedPolicy {
-                    q,
-                    episodes: Some(episodes),
-                    generation: None,
-                });
                 if budget.expired() {
                     // A partial policy answers this request (and any
                     // coalesced followers, who share its deadline fate)
                     // but is not representative — keep it out of the
                     // cache so the next cold request trains fully.
-                    guard.fulfill_uncached(Arc::clone(&value));
+                    guard.fulfill_uncached(Arc::clone(&resolved.policy));
                 } else {
-                    guard.fulfill(Arc::clone(&value));
+                    guard.fulfill(Arc::clone(&resolved.policy));
                 }
-                Ok(SharedResolution {
-                    policy: value,
-                    tier: "train",
-                    retries: 0,
-                    episodes: Some(episodes),
-                    cached: false,
-                    generation: None,
-                })
+                Ok(resolved)
             }
             Lookup::LeaderFailed(reason) => {
                 span.record("outcome", "leader_failed");
                 obs_event!(Level::Warn, "serve.cache.leader_failed", reason = &reason);
                 // Compute solo and uncached — the leader's failure may
                 // have been its own deadline, not a property of the key.
-                let (q, episodes) = phase_timed("train", || {
-                    Self::train_policy(instance, params, req.seed, budget)
-                })?;
-                Ok(SharedResolution {
-                    policy: Arc::new(CachedPolicy {
-                        q,
-                        episodes: Some(episodes),
-                        generation: None,
-                    }),
-                    tier: "train",
-                    retries: 0,
-                    episodes: Some(episodes),
-                    cached: false,
-                    generation: None,
-                })
+                train()
             }
         }
     }
 
-    /// Checkpoint policy behind the cache. The key carries the newest
-    /// generation's stamp token, so rotation *and* in-place rewrites
-    /// change the key — a corrupt-then-fallback load is cached under
-    /// the new token, never served as a stale hit of the old one.
-    fn recommend_tier(
-        &self,
-        _req: &Request,
-        name: &str,
-        ds: &DatasetEntry,
-        start: ItemId,
-        budget: &Budget,
-        flaky_load: bool,
-    ) -> Result<TierResult, String> {
-        let instance = &ds.instance;
-        let params = ds.params.clone().with_start(start);
-        let resolved = self.resolve_checkpoint(name, ds, budget, flaky_load)?;
-        let plan = recommend_timed(&resolved.policy.q, instance, &params, start);
-        Ok(TierResult {
-            plan,
-            tier: resolved.tier,
-            retries: resolved.retries,
-            episodes: resolved.episodes,
-            cached: resolved.cached,
-            generation: resolved.generation,
-        })
-    }
-
-    /// Resolves the checkpoint policy for a `recommend` request — cache
-    /// hit, coalesce, lead a load, or load solo — without the rollout.
+    /// Resolves the checkpoint policy for a `recommend` request behind
+    /// the cache. The key carries the newest generation's stamp token,
+    /// so rotation *and* in-place rewrites change the key — a
+    /// corrupt-then-fallback load is cached under the new token, never
+    /// served as a stale hit of the old one.
     fn resolve_checkpoint(
         &self,
-        name: &str,
-        ds: &DatasetEntry,
+        target: &Target,
         budget: &Budget,
         flaky_load: bool,
     ) -> Result<SharedResolution, String> {
-        let instance = &ds.instance;
+        let instance = &target.ds.instance;
         let dir = self
             .config
             .checkpoint_dir
             .as_ref()
             .ok_or_else(|| "no checkpoint directory configured".to_owned())?;
         let set = tpp_store::CheckpointSet::new(&tpp_store::RealFs, dir, 1);
+        // One budget-capped load for this request alone, not yet cached.
         let load = || {
-            if flaky_load {
-                return Err(StoreError::Io(std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    "chaos: flaky checkpoint load",
-                )));
-            }
-            set.load_latest()
+            phase_timed("checkpoint_load", || -> Result<SharedResolution, String> {
+                // Circuit breaker: while open, skip the store entirely
+                // and degrade now — the whole deadline goes to tiers
+                // that can answer, instead of rediscovering per-request
+                // that the store is down.
+                if let Admission::FastFail { retry_in } = self.breaker.admit() {
+                    return Err(format!(
+                        "breaker open: checkpoint store cooling down for {}ms",
+                        retry_in.as_millis()
+                    ));
+                }
+                let (loaded, retries) =
+                    with_backoff_budgeted(&self.config.backoff, Some(budget), || {
+                        if flaky_load {
+                            return Err(StoreError::Io(std::io::Error::new(
+                                std::io::ErrorKind::Interrupted,
+                                "chaos: flaky checkpoint load",
+                            )));
+                        }
+                        set.load_latest()
+                    });
+                // Transient final errors feed the breaker; successes and
+                // permanent errors both mean the store answered, which
+                // closes it.
+                match &loaded {
+                    Err(e) if e.is_retryable() => self.breaker.record_failure(),
+                    _ => self.breaker.record_success(),
+                }
+                let (generation, ckpt) = loaded
+                    .map_err(|e| format!("checkpoint load failed: {e}"))?
+                    .ok_or_else(|| format!("no checkpoints in {}", dir.display()))?;
+                if ckpt.q.n_states() != instance.catalog.len() {
+                    return Err(format!(
+                        "checkpoint has {} states, dataset has {} items",
+                        ckpt.q.n_states(),
+                        instance.catalog.len()
+                    ));
+                }
+                obs_event!(
+                    Level::Debug,
+                    "serve.policy_loaded",
+                    generation = generation,
+                    episode = ckpt.episode,
+                );
+                Ok(SharedResolution {
+                    policy: Arc::new(CachedPolicy {
+                        q: ckpt.q,
+                        episodes: None,
+                        generation: Some(generation),
+                    }),
+                    tier: "policy",
+                    retries,
+                    cached: false,
+                })
+            })
         };
-        let load_with_retry = |retries_out: &mut u32| -> Result<(u64, QTable), String> {
-            // Circuit breaker: while open, skip the store entirely and
-            // degrade now — the whole deadline goes to tiers that can
-            // answer, instead of rediscovering per-request that the
-            // store is down.
-            if let Admission::FastFail { retry_in } = self.breaker.admit() {
-                return Err(format!(
-                    "breaker open: checkpoint store cooling down for {}ms",
-                    retry_in.as_millis()
-                ));
-            }
-            let (loaded, retries) = with_backoff_budgeted(&self.config.backoff, Some(budget), load);
-            *retries_out = retries;
-            // Transient final errors feed the breaker; successes and
-            // permanent errors both mean the store answered, which
-            // closes it.
-            match &loaded {
-                Err(e) if e.is_retryable() => self.breaker.record_failure(),
-                _ => self.breaker.record_success(),
-            }
-            let (generation, ckpt) = loaded
-                .map_err(|e| format!("checkpoint load failed: {e}"))?
-                .ok_or_else(|| format!("no checkpoints in {}", dir.display()))?;
-            if ckpt.q.n_states() != instance.catalog.len() {
-                return Err(format!(
-                    "checkpoint has {} states, dataset has {} items",
-                    ckpt.q.n_states(),
-                    instance.catalog.len()
-                ));
-            }
-            obs_event!(
-                Level::Debug,
-                "serve.policy_loaded",
-                generation = generation,
-                episode = ckpt.episode,
-            );
-            Ok((generation, ckpt.q))
-        };
-
         if !self.cache.is_enabled() {
-            let mut retries = 0;
-            let (generation, q) = phase_timed("checkpoint_load", || load_with_retry(&mut retries))?;
-            return Ok(SharedResolution {
-                policy: Arc::new(CachedPolicy {
-                    q,
-                    episodes: None,
-                    generation: Some(generation),
-                }),
-                tier: "policy",
-                retries,
-                episodes: None,
-                cached: false,
-                generation: Some(generation),
-            });
+            return load();
         }
 
         // Cheap probe (read_dir + stat, no payload I/O): the stamp
@@ -1204,10 +1017,10 @@ impl ServeEngine {
             .map_err(|e| format!("checkpoint observe failed: {e}"))?
             .ok_or_else(|| format!("no checkpoints in {}", dir.display()))?;
         let token = stamp.token();
-        self.cache.invalidate_checkpoints(name, token);
+        self.cache.invalidate_checkpoints(&target.name, token);
         let key = PolicyKey {
-            dataset: name.to_owned(),
-            signature: ds.signature,
+            dataset: target.name.clone(),
+            signature: target.ds.signature,
             source: PolicySource::Checkpoint { token },
         };
         let mut span = tpp_obs::span(Level::Debug, "serve.cache").with("op", "recommend");
@@ -1216,60 +1029,29 @@ impl ServeEngine {
         }) {
             Lookup::Hit(policy) | Lookup::Coalesced(policy) => {
                 span.record("outcome", "shared");
-                let generation = policy.generation;
                 Ok(SharedResolution {
                     policy,
                     tier: "policy",
                     retries: 0,
-                    episodes: None,
                     cached: true,
-                    generation,
                 })
             }
             Lookup::Lead(guard) => {
                 span.record("outcome", "lead");
-                let mut retries = 0;
-                let (generation, q) =
-                    match phase_timed("checkpoint_load", || load_with_retry(&mut retries)) {
-                        Ok(loaded) => loaded,
-                        Err(e) => {
-                            guard.fail(&e);
-                            return Err(e);
-                        }
-                    };
-                let value = Arc::new(CachedPolicy {
-                    q,
-                    episodes: None,
-                    generation: Some(generation),
-                });
-                guard.fulfill(Arc::clone(&value));
-                Ok(SharedResolution {
-                    policy: value,
-                    tier: "policy",
-                    retries,
-                    episodes: None,
-                    cached: false,
-                    generation: Some(generation),
-                })
+                let resolved = match load() {
+                    Ok(resolved) => resolved,
+                    Err(e) => {
+                        guard.fail(&e);
+                        return Err(e);
+                    }
+                };
+                guard.fulfill(Arc::clone(&resolved.policy));
+                Ok(resolved)
             }
             Lookup::LeaderFailed(reason) => {
                 span.record("outcome", "leader_failed");
                 obs_event!(Level::Warn, "serve.cache.leader_failed", reason = &reason);
-                let mut retries = 0;
-                let (generation, q) =
-                    phase_timed("checkpoint_load", || load_with_retry(&mut retries))?;
-                Ok(SharedResolution {
-                    policy: Arc::new(CachedPolicy {
-                        q,
-                        episodes: None,
-                        generation: Some(generation),
-                    }),
-                    tier: "policy",
-                    retries,
-                    episodes: None,
-                    cached: false,
-                    generation: Some(generation),
-                })
+                load()
             }
         }
     }
@@ -1292,16 +1074,14 @@ impl ServeEngine {
     fn try_eda_tier(
         &self,
         req: &Request,
-        instance: &PlanningInstance,
-        params: &PlannerParams,
-        start: ItemId,
+        target: &Target,
         reasons: &mut Vec<String>,
     ) -> Option<TierResult> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let plan = tpp_baselines::eda_plan(
-                instance,
-                &params.clone().with_start(start),
-                start,
+                &target.ds.instance,
+                &target.params,
+                target.start,
                 req.seed,
             );
             Ok(TierResult {
@@ -1317,18 +1097,13 @@ impl ServeEngine {
     }
 
     /// Tier 3 (the floor): deterministic partial plan.
-    fn try_partial_tier(
-        &self,
-        instance: &PlanningInstance,
-        params: &PlannerParams,
-        start: ItemId,
-        reasons: &mut Vec<String>,
-    ) -> Option<TierResult> {
+    fn try_partial_tier(&self, target: &Target, reasons: &mut Vec<String>) -> Option<TierResult> {
+        let instance = &target.ds.instance;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let plan = tpp_baselines::degraded_partial_plan(
                 instance,
-                &params.clone().with_start(start),
-                start,
+                &target.params,
+                target.start,
                 instance.catalog.len(),
             );
             Ok(TierResult {
@@ -1381,113 +1156,29 @@ impl ServeEngine {
     }
 
     /// Fallback after the whole dispatch panicked (e.g. an injected
-    /// chaos panic before tier selection): run the degradation chain
-    /// directly. This path must not be able to panic out.
-    fn answer_after_panic(&self, req: &Request, payload: &Box<dyn std::any::Any + Send>) -> String {
+    /// chaos panic before tier selection): a control op is retried
+    /// fault-free (chaos fires once), a planning op runs the
+    /// degradation chain without the primary tier. This path must not
+    /// be able to panic out.
+    fn answer_after_panic(
+        &self,
+        req: &Request,
+        member: &Member,
+        share: &BatchShare,
+        payload: &Box<dyn std::any::Any + Send>,
+    ) -> String {
         self.note_panic(payload);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if !matches!(req.op, Op::Plan | Op::Recommend) {
-                // Health/stats panicked (only chaos can do this) — the
-                // retry is fault-free because chaos fires once.
-                return self.dispatch(req, &[]);
-            }
-            let Some(name) = req.dataset.as_deref() else {
-                return self.error_response(req, "missing \"dataset\"");
-            };
-            let Ok(ds) = self.dataset(name) else {
-                return self.error_response(req, &format!("unknown dataset {name:?}"));
-            };
-            let (instance, params) = (&ds.instance, &ds.params);
-            let Ok(start) = self.resolve_start(instance, req.start.as_deref()) else {
-                return self.error_response(req, "unknown start code");
-            };
-            let mut reasons = vec![format!("primary: panicked ({})", panic_message(payload))];
-            let result = self
-                .try_eda_tier(req, instance, params, start, &mut reasons)
-                .or_else(|| self.try_partial_tier(instance, params, start, &mut reasons));
-            match result {
-                Some(result) => {
-                    self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                    tpp_obs::metrics().counter("serve.degraded").inc();
-                    self.tier_counter(result.tier)
-                        .fetch_add(1, Ordering::Relaxed);
-                    tpp_obs::metrics()
-                        .counter(&format!("serve.tier.{}", result.tier))
-                        .inc();
-                    let violations = plan_violations(instance, &result.plan);
-                    JsonObj::new()
-                        .bool("ok", true)
-                        .nullable_str("id", req.id.as_deref())
-                        .str("op", req.op.as_str())
-                        .str("dataset", name)
-                        .str("tier", result.tier)
-                        .bool("degraded", true)
-                        .bool("cached", false)
-                        .bool("deadline_expired", false)
-                        .u64("retries", 0)
-                        .str_arr(
-                            "plan",
-                            result
-                                .plan
-                                .items()
-                                .iter()
-                                .map(|&id| instance.catalog.item(id).code.as_str()),
-                        )
-                        .f64("score", score_plan(instance, &result.plan))
-                        .u64("violations", violations.len() as u64)
-                        .str_arr("fallbacks", reasons.iter().map(String::as_str))
-                        .finish()
-                }
-                None => self.error_response(req, "internal: all tiers failed"),
-            }
-        }));
-        caught.unwrap_or_else(|_| {
+        let panicked = format!("primary: panicked ({})", panic_message(payload));
+        catch_unwind(AssertUnwindSafe(|| {
+            self.answer(req, member, &[], share, Some(panicked))
+        }))
+        .unwrap_or_else(|_| {
             JsonObj::new()
                 .bool("ok", false)
                 .nullable_str("id", req.id.as_deref())
                 .str("error", "internal: panic recovery failed")
                 .finish()
         })
-    }
-
-    /// The quarantine identity of a planning request: the same
-    /// (dataset, constraint signature, source) triple the policy cache
-    /// keys on — except `recommend` keys are generation-agnostic
-    /// (token 0), because a request shape that kills workers does so
-    /// regardless of which checkpoint generation is newest.
-    fn quarantine_key(&self, req: &Request) -> Option<PolicyKey> {
-        if !matches!(req.op, Op::Plan | Op::Recommend) {
-            return None;
-        }
-        let name = req.dataset.as_deref()?;
-        let ds = self.dataset(name).ok()?;
-        let start = self
-            .resolve_start(&ds.instance, req.start.as_deref())
-            .ok()?;
-        let source = match req.op {
-            Op::Plan => PolicySource::Trained {
-                seed: req.seed,
-                episodes: req
-                    .episodes
-                    .unwrap_or(ds.params.episodes as u64)
-                    .min(self.config.max_episodes),
-                start: start.0 as usize,
-            },
-            _ => PolicySource::Checkpoint { token: 0 },
-        };
-        Some(PolicyKey {
-            dataset: name.to_owned(),
-            signature: ds.signature,
-            source,
-        })
-    }
-
-    /// Records one panic strike against the request's quarantine key
-    /// (no-op for non-planning ops or unresolvable requests).
-    fn strike_quarantine(&self, req: &Request) {
-        if let Some(key) = self.quarantine_key(req) {
-            self.quarantine.strike(&key);
-        }
     }
 
     /// The terminal response a worker's rescue guard (or the pool's
@@ -1759,6 +1450,21 @@ impl ServeEngine {
     }
 }
 
+/// The batch budget: the latest member deadline (none if any planning
+/// member has none), counted from intake.
+fn batch_budget(intake: &[Member]) -> Budget {
+    let mut latest = Some(Duration::ZERO);
+    for target in intake.iter().filter_map(Member::target) {
+        latest = latest
+            .zip(target.budget.remaining_time())
+            .map(|(a, b)| a.max(b));
+    }
+    match latest {
+        Some(d) => Budget::unlimited().with_deadline(d),
+        None => Budget::unlimited(),
+    }
+}
+
 /// How long a follower blocks on an in-flight leader before giving up
 /// and computing solo: the request's own remaining deadline when it has
 /// one (waiting longer than that is pointless — the answer would arrive
@@ -1885,15 +1591,26 @@ mod tests {
     #[test]
     fn plan_trains_and_answers_with_train_tier() {
         let e = engine();
-        let r = parse(
-            &e.handle_line(r#"{"op":"plan","dataset":"ds-ct","episodes":40,"seed":1,"id":"p1"}"#),
-        )
-        .unwrap();
+        let line = r#"{"op":"plan","dataset":"ds-ct","episodes":40,"seed":1,"id":"p1"}"#;
+        let r = parse(&e.handle_line(line)).unwrap();
         assert_eq!(get(&r, "ok"), &Json::Bool(true), "{r:?}");
         assert_eq!(get(&r, "tier").as_str(), Some("train"));
         assert_eq!(get(&r, "degraded"), &Json::Bool(false));
         assert_eq!(get(&r, "episodes").as_f64(), Some(40.0));
         assert!(matches!(get(&r, "plan"), Json::Arr(items) if !items.is_empty()));
+        // A lone request is a batch of one, but neither its response
+        // nor the batch counters say so: only batches of two or more
+        // count (`transport.batch_size_mean` divides by them).
+        let hit = parse(&e.handle_line(line)).unwrap();
+        for r in [&r, &hit] {
+            assert!(r.get("batched").is_none(), "{r:?}");
+            assert!(r.get("batch_size").is_none(), "{r:?}");
+        }
+        assert_eq!(get(&hit, "cached"), &Json::Bool(true));
+        let t = &e.transport;
+        assert_eq!(t.batches_formed.load(Ordering::Relaxed), 0);
+        assert_eq!(t.batch_members.load(Ordering::Relaxed), 0);
+        assert_eq!(t.amortized_loads.load(Ordering::Relaxed), 0);
     }
 
     /// Golden equivalence: a batch of identical plan requests must be
@@ -1957,6 +1674,90 @@ mod tests {
             2,
             "three members share one resolution"
         );
+    }
+
+    /// Answers `lines` as one batch; every member must be answered
+    /// exactly once.
+    fn run_batch(e: &ServeEngine, lines: &[&str]) -> Vec<Json> {
+        let items: Vec<BatchItem> = lines
+            .iter()
+            .map(|&line| BatchItem {
+                line,
+                trace: tpp_obs::TraceCtx::root(),
+            })
+            .collect();
+        let mut answers: Vec<Option<Json>> = vec![None; lines.len()];
+        e.handle_batch(&items, &mut |i, resp| {
+            assert!(answers[i].is_none(), "member {i} answered twice");
+            answers[i] = Some(parse(&resp).unwrap());
+        });
+        answers
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| a.unwrap_or_else(|| panic!("member {i} unanswered")))
+            .collect()
+    }
+
+    /// A member's deadline runs from intake, not from the end of the
+    /// shared training it waited on: the second member's 1 ms deadline
+    /// passes while the first member's unbounded run trains, so its
+    /// answer must say so.
+    #[test]
+    fn batch_member_deadline_runs_from_intake() {
+        let e = engine();
+        let answers = run_batch(
+            &e,
+            &[
+                r#"{"op":"plan","dataset":"univ2","episodes":2000,"seed":5,"id":"a"}"#,
+                r#"{"op":"plan","dataset":"univ2","episodes":2000,"seed":5,"deadline_ms":1,"id":"b"}"#,
+            ],
+        );
+        let (a, b) = (&answers[0], &answers[1]);
+        assert_eq!(get(a, "deadline_expired"), &Json::Bool(false), "{a:?}");
+        assert_eq!(get(a, "degraded"), &Json::Bool(false), "{a:?}");
+        assert_eq!(get(a, "episodes").as_f64(), Some(2000.0));
+        assert_eq!(get(b, "ok"), &Json::Bool(true), "{b:?}");
+        assert_eq!(get(b, "deadline_expired"), &Json::Bool(true), "{b:?}");
+        assert_eq!(get(b, "degraded"), &Json::Bool(true), "{b:?}");
+        assert_eq!(
+            get(a, "plan"),
+            get(b, "plan"),
+            "b still gets the shared plan"
+        );
+    }
+
+    /// The resolution is led by the first member that reaches its
+    /// primary tier: when member 0 panics before it gets there, member
+    /// 1 (after its own stall) resolves and member 2 reuses the result.
+    #[test]
+    fn a_panicked_member_hands_the_resolution_to_the_next() {
+        let line = r#"{"op":"plan","dataset":"ds-ct","episodes":40,"seed":9}"#;
+        let sequential = parse(&engine().handle_line(line)).unwrap();
+        let e = ServeEngine::new(ServeConfig {
+            chaos: "panic@1,stall@2:20".parse().unwrap(),
+            ..ServeConfig::default()
+        });
+        let answers = run_batch(&e, &[line, line, line]);
+        let first = &answers[0];
+        assert_eq!(get(first, "ok"), &Json::Bool(true), "{first:?}");
+        assert_eq!(get(first, "degraded"), &Json::Bool(true), "{first:?}");
+        assert!(
+            matches!(get(first, "fallbacks"), Json::Arr(f) if f.iter().any(
+                |x| x.as_str().is_some_and(|s| s.contains("panicked")))),
+            "{first:?}"
+        );
+        assert_eq!(get(&answers[1], "tier").as_str(), Some("train"));
+        assert_eq!(get(&answers[1], "cached"), &Json::Bool(false));
+        let last = &answers[2];
+        assert_eq!(get(last, "degraded"), &Json::Bool(false), "{last:?}");
+        assert_eq!(get(last, "cached"), &Json::Bool(true), "{last:?}");
+        assert_eq!(get(last, "plan"), get(&sequential, "plan"));
+        assert_eq!(
+            get(last, "score").as_f64().unwrap().to_bits(),
+            get(&sequential, "score").as_f64().unwrap().to_bits()
+        );
+        assert_eq!(e.counters.panics.load(Ordering::Relaxed), 1);
+        assert_eq!(e.transport.batches_formed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //!   (op, dataset, start, seed, episodes) up to `--batch-max` (plus an
 //!   optional `--batch-wait-us` linger), resolves the policy **once**,
 //!   and answers every member from the shared `Arc` — each with its own
-//!   trace, its own `plan`-phase timing, and `batched`/`batch_size`
-//!   fields in the response. A mid-batch panic rescues every unanswered
-//!   member with a terminal response.
+//!   trace, deadline (running from intake), `plan`-phase timing, and
+//!   `batched`/`batch_size` fields in the response. `handle_batch` is
+//!   the engine's only request path: a lone request is a batch of one.
+//!   A worker panic rescues every unanswered member with a terminal
+//!   response.
 //!
 //! * **Every request is traced end to end**: the server mints a root
 //!   [`tpp_obs::TraceCtx`] at ingestion and the worker re-enters it, so

@@ -30,16 +30,16 @@
 //! everything already queued, and the transport emits a traced
 //! `serve.shutdown` event with drain counts. When the queue is
 //! saturated, a `shutdown` line that would have been shed is handled
-//! inline instead — an overloaded daemon must still be drainable.
+//! inline instead — an overloaded daemon must still be drainable
+//! ([`crate::transport`] makes that call for every transport).
 //!
 //! The TCP transport ([`crate::tcp`]) reuses the same pool, framing and
 //! drain machinery with one shared pool across all connections.
 
 use crate::engine::ServeEngine;
 use crate::framing::{FramedLine, LineReader};
-use crate::protocol::{parse_request, Op};
 use crate::transport::{
-    write_response, BatchConfig, Job, SharedWriter, SupervisorConfig, WorkerPool,
+    answer_unqueued, write_response, BatchConfig, Job, SharedWriter, SupervisorConfig, WorkerPool,
 };
 use std::io::Write;
 use std::sync::atomic::Ordering;
@@ -94,13 +94,6 @@ pub struct ServeSummary {
     pub bad_lines: u64,
     /// The session ended because a drain was requested.
     pub drained: bool,
-}
-
-/// `true` when `line` parses as a `shutdown` request — the one op that
-/// must bypass a saturated queue, or an overloaded daemon could never
-/// be drained.
-pub(crate) fn is_shutdown_line(line: &str) -> bool {
-    matches!(parse_request(line), Ok(r) if r.op == Op::Shutdown)
 }
 
 /// Emits the traced `serve.shutdown` event every transport ends with.
@@ -171,27 +164,8 @@ where
                     // `serve.shed` event and flight dump correlate
                     // with this line.
                     let _trace = tpp_obs::trace::enter(job.trace);
-                    let response = if is_shutdown_line(&job.line) {
-                        engine.handle_line(&job.line)
-                    } else if engine.transport.workers_dead() {
-                        // A dead pool must never accept-and-starve:
-                        // probes (`health`, `stats`) are answered inline
-                        // so the caller sees `accepting: false`, and
-                        // work requests get a terminal `overloaded`
-                        // instead of queueing into a void.
-                        match parse_request(&job.line) {
-                            Ok(r) if matches!(r.op, Op::Health | Op::Stats | Op::Metrics) => {
-                                engine.handle_line(&job.line)
-                            }
-                            _ => {
-                                overloaded += 1;
-                                engine.overloaded_response(&job.line)
-                            }
-                        }
-                    } else {
-                        overloaded += 1;
-                        engine.overloaded_response(&job.line)
-                    };
+                    let (response, shed) = answer_unqueued(&engine, &job.line);
+                    overloaded += u64::from(shed);
                     write_response(&output, &response);
                 }
             }

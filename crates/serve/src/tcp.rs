@@ -41,10 +41,10 @@
 
 use crate::engine::ServeEngine;
 use crate::framing::{FramedLine, LineReader};
-use crate::protocol::{parse_request, Op};
-use crate::server::{emit_shutdown, is_shutdown_line, ACCEPT_POLL};
+use crate::server::{emit_shutdown, ACCEPT_POLL};
 use crate::transport::{
-    write_response, BatchConfig, ConnTrack, Job, SharedWriter, SupervisorConfig, WorkerPool,
+    answer_unqueued, write_response, BatchConfig, ConnTrack, Job, SharedWriter, SupervisorConfig,
+    WorkerPool,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -319,19 +319,7 @@ fn conn_session(
                 };
                 if let Err(job) = pool.try_submit(engine, job) {
                     let _trace = tpp_obs::trace::enter(job.trace);
-                    // A saturated daemon must still be drainable, so a
-                    // shutdown that would have been shed runs inline.
-                    // A *dead-pool* daemon must never accept-and-starve:
-                    // probes run inline (so `health` reports
-                    // `accepting: false`) and work gets a terminal
-                    // `overloaded` instead of queueing into a void.
-                    let answer_inline = is_shutdown_line(&job.line)
-                        || (engine.transport.workers_dead() && is_probe_line(&job.line));
-                    let response = if answer_inline {
-                        engine.handle_line(&job.line)
-                    } else {
-                        engine.overloaded_response(&job.line)
-                    };
+                    let (response, _) = answer_unqueued(engine, &job.line);
                     deliver(engine, &out, &track, &response);
                 }
             }
@@ -392,17 +380,6 @@ fn conn_session(
     tpp_obs::metrics().counter("serve.conn_closed").inc();
 }
 
-/// `true` when `line` is a read-only probe (`health`, `stats`,
-/// `metrics`) — the ops a dead-pool daemon still answers inline so an
-/// operator or load balancer can see `accepting: false` instead of an
-/// opaque `overloaded`.
-fn is_probe_line(line: &str) -> bool {
-    matches!(
-        parse_request(line),
-        Ok(r) if matches!(r.op, Op::Health | Op::Stats | Op::Metrics)
-    )
-}
-
 /// Writes a reader-side (shed or framing) response and keeps the
 /// per-connection and delivery-failure accounting identical to the
 /// worker path.
@@ -444,15 +421,9 @@ fn shed_connection(
         };
         let mut lines = LineReader::new(reader, config.max_line_bytes);
         match lines.next_line_by(Some(deadline)) {
-            FramedLine::Line(line) if is_shutdown_line(&line) => {
-                // Even a shed connection can drain the daemon — an
-                // operator must not be locked out by saturation.
-                engine.handle_line(&line)
-            }
-            FramedLine::Line(line) if engine.transport.workers_dead() && is_probe_line(&line) => {
-                engine.handle_line(&line)
-            }
-            FramedLine::Line(line) => engine.overloaded_response(&line),
+            // Even a shed connection can drain the daemon — an operator
+            // must not be locked out by saturation.
+            FramedLine::Line(line) => answer_unqueued(engine, &line).0,
             _ => engine.overloaded_response(""),
         }
     };

@@ -311,6 +311,26 @@ pub(crate) fn count_lock_recovered(which: &'static str) {
     obs_event!(Level::Warn, "serve.lock_recovered", lock = which);
 }
 
+/// The answer a reader gives a line the pool did not take (queue full,
+/// or every worker dead), and whether that answer sheds it. A
+/// `shutdown` runs inline, so a saturated daemon stays drainable. A
+/// probe (`health`, `stats`, `metrics`) runs inline when the pool is
+/// dead, so it reports `accepting: false` instead of an opaque
+/// `overloaded`. Anything else is shed as `overloaded`: a dead pool
+/// never accepts and starves.
+pub(crate) fn answer_unqueued(engine: &ServeEngine, line: &str) -> (String, bool) {
+    let inline = parse_request(line).is_ok_and(|r| match r.op {
+        Op::Shutdown => true,
+        Op::Health | Op::Stats | Op::Metrics => engine.transport.workers_dead(),
+        Op::Plan | Op::Recommend => false,
+    });
+    if inline {
+        (engine.handle_line(line), false)
+    } else {
+        (engine.overloaded_response(line), true)
+    }
+}
+
 /// Writes one response line under the connection's output lock.
 /// Returns whether the write (and flush) reached the peer — a dead
 /// client must not kill the daemon, but the failure is counted.
@@ -470,43 +490,12 @@ struct WorkerCtl {
     exited_clean: AtomicBool,
 }
 
-/// Rescues a dying worker's in-flight job: if this guard drops while
-/// still armed, `handle_line` is unwinding, and the client would never
-/// get a response — so the guard writes a terminal error response
-/// (echoing the id) during the unwind. Everything it calls is
-/// panic-free plain code, so the unwind cannot double-panic.
-struct JobRescue<'a> {
-    engine: &'a ServeEngine,
-    job: &'a Job,
-    armed: bool,
-}
-
-impl Drop for JobRescue<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let t = &self.engine.transport;
-        t.worker_rescued.fetch_add(1, Ordering::Relaxed);
-        tpp_obs::metrics().counter("serve.worker_rescued").inc();
-        obs_event!(Level::Error, "serve.job_rescued");
-        let response = self.engine.worker_crash_response(&self.job.line);
-        let delivered = write_response(&self.job.out, &response);
-        if let Some(track) = &self.job.track {
-            track.responses.fetch_add(1, Ordering::Relaxed);
-        }
-        if !delivered {
-            t.undeliverable_responses.fetch_add(1, Ordering::Relaxed);
-            tpp_obs::metrics().counter("serve.write_failed").inc();
-        }
-    }
-}
-
-/// Rescues a dying worker's in-flight *batch*: if this guard drops
-/// while still armed, `handle_batch` is unwinding mid-batch — every
-/// member not yet delivered gets a terminal crash response during the
-/// unwind, so a poison pill in one batch slot never swallows its
-/// neighbours' responses. Everything here is panic-free plain code.
+/// Rescues a dying worker's in-flight batch (a lone job is a batch of
+/// one): if this guard drops while still armed, `handle_batch` is
+/// unwinding — every member not yet delivered gets a terminal crash
+/// response during the unwind, so a poison pill in one batch slot
+/// never swallows its neighbours' responses. Everything here is
+/// panic-free plain code.
 struct BatchRescue<'a> {
     engine: &'a ServeEngine,
     jobs: &'a [Job],
@@ -527,7 +516,7 @@ impl Drop for BatchRescue<'_> {
             let _trace = tpp_obs::trace::enter(job.trace);
             t.worker_rescued.fetch_add(1, Ordering::Relaxed);
             tpp_obs::metrics().counter("serve.worker_rescued").inc();
-            obs_event!(Level::Error, "serve.job_rescued", batched = true);
+            obs_event!(Level::Error, "serve.job_rescued");
             let response = self.engine.worker_crash_response(&job.line);
             deliver_to_job(self.engine, job, &response);
         }
@@ -612,45 +601,30 @@ fn worker_loop(
             let _trace = tpp_obs::trace::enter(member.trace);
             obs_event!(Level::Debug, "serve.dequeued", queue_wait_us = wait_us);
         }
-        if members.len() == 1 {
-            let job = &members[0];
-            let _trace = tpp_obs::trace::enter(job.trace);
-            let mut rescue = JobRescue {
-                engine: &engine,
-                job,
-                armed: true,
-            };
-            let response = engine.handle_line(&job.line);
-            rescue.armed = false;
-            drop(rescue);
-            deliver_to_job(&engine, job, &response);
-        } else {
-            // Batch turn: one policy resolution answers every member;
-            // responses fan back out to each member's own connection
-            // writer as they are produced. The rescue guard answers
-            // every member a mid-batch panic leaves behind.
-            let answered: Vec<AtomicBool> =
-                members.iter().map(|_| AtomicBool::new(false)).collect();
-            let mut rescue = BatchRescue {
-                engine: &engine,
-                jobs: &members,
-                answered: &answered,
-                armed: true,
-            };
-            let items: Vec<BatchItem<'_>> = members
-                .iter()
-                .map(|j| BatchItem {
-                    line: &j.line,
-                    trace: j.trace,
-                })
-                .collect();
-            engine.handle_batch(&items, &mut |idx, response| {
-                answered[idx].store(true, Ordering::SeqCst);
-                deliver_to_job(&engine, &members[idx], &response);
-            });
-            rescue.armed = false;
-            drop(rescue);
-        }
+        // One policy resolution answers every member; responses fan
+        // back out to each member's own connection writer as they are
+        // produced. The rescue guard answers every member a panic
+        // leaves behind.
+        let answered: Vec<AtomicBool> = members.iter().map(|_| AtomicBool::new(false)).collect();
+        let mut rescue = BatchRescue {
+            engine: &engine,
+            jobs: &members,
+            answered: &answered,
+            armed: true,
+        };
+        let items: Vec<BatchItem<'_>> = members
+            .iter()
+            .map(|j| BatchItem {
+                line: &j.line,
+                trace: j.trace,
+            })
+            .collect();
+        engine.handle_batch(&items, &mut |idx, response| {
+            answered[idx].store(true, Ordering::SeqCst);
+            deliver_to_job(&engine, &members[idx], &response);
+        });
+        rescue.armed = false;
+        drop(rescue);
         for member in &members {
             let _trace = tpp_obs::trace::enter(member.trace);
             obs_event!(
@@ -829,17 +803,7 @@ impl WorkerPool {
             self.engine.transport.queue_dec();
             let response = catch_unwind(AssertUnwindSafe(|| self.engine.handle_line(&job.line)))
                 .unwrap_or_else(|_| self.engine.worker_crash_response(&job.line));
-            let delivered = write_response(&job.out, &response);
-            if let Some(track) = &job.track {
-                track.responses.fetch_add(1, Ordering::Relaxed);
-            }
-            if !delivered {
-                self.engine
-                    .transport
-                    .undeliverable_responses
-                    .fetch_add(1, Ordering::Relaxed);
-                tpp_obs::metrics().counter("serve.write_failed").inc();
-            }
+            deliver_to_job(&self.engine, &job, &response);
             obs_event!(Level::Warn, "serve.postmortem_answered");
         }
     }

@@ -1,11 +1,27 @@
 #!/usr/bin/env bash
-# Full local gate: everything CI runs, in the same order.
-# Usage: scripts/check.sh [--quick]   (--quick skips the release build)
+# Full gate: CI runs exactly this script, so a local run checks the
+# same commands with the same arguments, in the same order.
+# Usage: scripts/check.sh [--quick] [--out DIR]
+#   --quick    stop after the tests (skips the release build, the
+#              benchmark smokes and the load storms)
+#   --out DIR  where the BENCH_*.json reports and flight-recorder dumps
+#              go (default: a fresh temporary directory, so a local run
+#              never overwrites the committed BENCH_*.json snapshots)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=0
-[[ "${1:-}" == "--quick" ]] && quick=1
+out=""
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --quick) quick=1 ;;
+    --out) out="$2"; shift ;;
+    *) echo "usage: scripts/check.sh [--quick] [--out DIR]" >&2; exit 1 ;;
+  esac
+  shift
+done
+[[ -n "$out" ]] || out=$(mktemp -d)
+mkdir -p "$out"
 
 run() {
   echo "==> $*"
@@ -14,34 +30,52 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
-# Every test in the workspace: unit, integration, property, fuzz, the
-# golden equivalence suite, and the serve and daemon smoke suites.
+# Every test in the workspace: unit, integration, property and fuzz
+# suites, the golden equivalence suite, the store fault sweeps, the
+# serve chaos/cache/framing/TCP/tracing/self-healing suites, and the
+# real-binary daemon and load-harness smokes.
 run cargo test --workspace --no-fail-fast
-if [[ $quick -eq 0 ]]; then
-  run cargo build --release -p rl-planner-cli
-  # perfbench's SARSA mirror must replay the planner call for call and
-  # measure every per-layer metric (structure only, no timings).
-  run scripts/perfbench_mirror.sh
-  run ./target/release/rl-planner bench --load --rate 200 --duration-s 2 \
-    --episodes 40 --deadline-ms 250 --workers 4 --capacity 128 \
-    --chaos 'panic@10,stall@25:100,flaky@40' --seed 7 -q \
-    --out /tmp/BENCH_load_check.json
-  # Worker-killing storm: must report >=1 supervisor respawn and a
-  # breaker that tripped open and closed again, or exit 1.
-  run ./target/release/rl-planner bench --load --rate 120 --duration-s 3 \
-    --episodes 20 --deadline-ms 150 --workers 4 --capacity 128 \
-    --chaos 'kill@10,kill@40,wedge@25:300,flaky@70:40' \
-    --profile 'hot=30,cold=10,recommend=40,malformed=10,slow=10' \
-    --require-restarts --require-breaker-recovered --seed 11 -q \
-    --flight-dir /tmp/tpp-flight-check \
-    --out /tmp/BENCH_selfheal_check.json
-  # Hot-heavy batching storm, run unbatched then batched: must form
-  # real batches and amortize policy resolutions, or exit 1; the
-  # report carries before/after p99 under a `batching` object.
-  run ./target/release/rl-planner bench --load --rate 600 --duration-s 2 \
-    --episodes 400 --deadline-ms 500 --workers 2 --capacity 128 \
-    --profile hot-heavy --seed 7 -q \
-    --require-batching --compare-batching \
-    --out /tmp/BENCH_batching_check.json
+if [[ $quick -eq 1 ]]; then
+  echo "Quick checks passed."
+  exit 0
 fi
-echo "All checks passed."
+run cargo build --release -p rl-planner-cli
+# perfbench's SARSA mirror must replay the planner call for call and
+# measure every per-layer metric (structure only, no timings).
+run scripts/perfbench_mirror.sh
+# Low-episode smoke of the training-throughput benchmark: the harness
+# runs end to end and both engines still agree; the speedups at this
+# episode count are noise, not a gate. Training city-10k under the
+# script's 64 MB --max-q-bytes ceiling asserts the sparse path never
+# materializes a dense n² table (~800 MB at 10k items).
+run scripts/bench.sh --episodes 50 --out "$out/BENCH_train.json"
+# Serve-throughput smoke, cold (training) vs warm (policy cache). The
+# gate is scores_match — cached answers bit-identical to uncached.
+run ./target/release/rl-planner bench --serve --requests 5 --episodes 50 \
+  --out "$out/BENCH_serve.json"
+# Open-loop TCP load smoke: mixed hot/cold/malformed/slow-client storm
+# under chaos. Exits 1 on any connection closed without a terminal
+# response, or on a daemon not accepting after the storm.
+run ./target/release/rl-planner bench --load --rate 300 --duration-s 3 \
+  --episodes 60 --deadline-ms 250 --workers 4 --capacity 128 \
+  --chaos 'panic@20,stall@40:100,flaky@60,panic@80,stall@120:100' \
+  --seed 7 -q --out "$out/BENCH_load.json"
+# Hot-heavy batching storm, run unbatched then batched: must form real
+# batches and amortize policy resolutions, or exit 1; the report carries
+# before/after p99 under a `batching` object.
+run ./target/release/rl-planner bench --load --rate 600 --duration-s 2 \
+  --episodes 400 --deadline-ms 500 --workers 2 --capacity 128 \
+  --profile hot-heavy --seed 7 -q \
+  --require-batching --compare-batching \
+  --out "$out/BENCH_batching.json"
+# Worker-killing storm: must report >=1 supervisor respawn and a
+# breaker that tripped open and closed again, or exit 1. Worker deaths
+# leave flight-recorder post-mortems in $out/flight-dumps.
+run ./target/release/rl-planner bench --load --rate 120 --duration-s 3 \
+  --episodes 20 --deadline-ms 150 --workers 4 --capacity 128 \
+  --chaos 'kill@10,kill@40,wedge@25:300,flaky@70:40' \
+  --profile 'hot=30,cold=10,recommend=40,malformed=10,slow=10' \
+  --require-restarts --require-breaker-recovered --seed 11 -q \
+  --flight-dir "$out/flight-dumps" \
+  --out "$out/BENCH_selfheal.json"
+echo "All checks passed (reports in $out)."
