@@ -1,26 +1,18 @@
 #!/usr/bin/env bash
 # Full gate: CI runs exactly this script, so a local run checks the
 # same commands with the same arguments, in the same order.
-# Usage: scripts/check.sh [--quick] [--out DIR]
-#   --quick    stop after the tests (skips the release build, the
-#              benchmark smokes and the load storms)
-#   --out DIR  where the BENCH_*.json reports and flight-recorder dumps
-#              go (default: a fresh temporary directory, so a local run
-#              never overwrites the committed BENCH_*.json snapshots)
+# Usage: scripts/check.sh [--quick]
+#   --quick  stop after the tests (skips the release build, the
+#            benchmark smokes and the load storms)
+# The BENCH_*.json reports and flight-recorder dumps go to the
+# gitignored reports/ directory, so a run never overwrites the
+# committed BENCH_*.json snapshots; CI uploads them from there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=0
-out=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --quick) quick=1 ;;
-    --out) out="$2"; shift ;;
-    *) echo "usage: scripts/check.sh [--quick] [--out DIR]" >&2; exit 1 ;;
-  esac
-  shift
-done
-[[ -n "$out" ]] || out=$(mktemp -d)
+[[ "${1:-}" == "--quick" ]] && quick=1
+out=reports
 mkdir -p "$out"
 
 run() {
