@@ -77,23 +77,26 @@ impl GateCounts {
     }
 }
 
-/// Precomputed distance structure for trip instances (§III-A's
-/// distance gate probes one leg per unvisited candidate per step).
+/// Where the distance gate's legs come from (§III-A's distance gate
+/// probes one leg per unvisited candidate per step). The geometry is the
+/// catalog's ([`tpp_model::Catalog::geometry`]): built once per catalog
+/// and borrowed by every env over it.
 #[derive(Debug, Clone)]
-enum DistCache {
+enum DistCache<'a> {
     /// No geometry: course instances, POI-less items (rejected by
     /// [`PlanningInstance::validate`]), or the naive benchmark path.
     Direct,
-    /// The full catalog matrix, built once in [`TppEnv::new`] for
-    /// catalogs under [`DistanceMatrix::DEFAULT_CAP`] items.
-    Matrix(DistanceMatrix),
-    /// Over-cap fallback: one on-demand row ([`tpp_geo::LazyRowCache`]),
-    /// rebuilt only when the current item changes (once per step, not
-    /// once per candidate — the cache's rebuild counter proves it).
-    /// `RefCell` because the gate runs under `&self`; the env is
-    /// single-threaded per experiment run.
+    /// The catalog's distance matrix, present for catalogs of at most
+    /// [`DistanceMatrix::DEFAULT_CAP`] items.
+    Matrix(&'a DistanceMatrix),
+    /// Over-cap fallback over the catalog's points: one on-demand row
+    /// ([`tpp_geo::LazyRowCache`], owned by this env), rebuilt only when
+    /// the current item changes (once per step, not once per candidate
+    /// — the cache's rebuild counter proves it). `RefCell` because the
+    /// gate runs under `&self`; the env is single-threaded per
+    /// experiment run.
     Lazy {
-        points: Vec<GeoPoint>,
+        points: &'a [GeoPoint],
         row: RefCell<tpp_geo::LazyRowCache>,
     },
 }
@@ -106,11 +109,12 @@ enum DistCache {
 /// the geographic neighbourhood of the current item, and an empty
 /// shortlist ends the episode early even if a feasible far-away item
 /// exists. The full scan stays available as the measured baseline
-/// (`ShortlistMode::Off`).
+/// (`ShortlistMode::Off`). The grid and the points are borrowed from
+/// the catalog's geometry.
 #[derive(Debug, Clone)]
-struct Shortlist {
-    grid: GridIndex<usize>,
-    points: Vec<GeoPoint>,
+struct Shortlist<'a> {
+    grid: &'a GridIndex<usize>,
+    points: &'a [GeoPoint],
     radius_km: f64,
     top_k: usize,
 }
@@ -197,9 +201,9 @@ pub struct TppEnv<'a> {
     // is single-threaded per experiment run.
     gates: Cell<GateCounts>,
     /// Distance structure for `leg_km` (trips).
-    dist: DistCache,
+    dist: DistCache<'a>,
     /// Grid-pruned action shortlisting (`None` = full scan).
-    shortlist: Option<Shortlist>,
+    shortlist: Option<Shortlist<'a>>,
     /// `#cr + ε`, precomputed for the admission gate.
     credits_admit_cap: f64,
     /// `#cr − ε`, precomputed for the course termination check.
@@ -247,59 +251,42 @@ impl<'a> TppEnv<'a> {
             instance.is_trip(),
         );
         let naive = params.naive_hot_path;
-        let geo_points = || -> Option<Vec<GeoPoint>> {
-            instance
-                .catalog
-                .items()
-                .iter()
-                .map(|i| i.poi.map(|p| GeoPoint::new(p.lat, p.lon)))
-                .collect()
-        };
         let shortlist_wanted = match params.shortlist {
             ShortlistMode::Off => false,
             ShortlistMode::On => true,
             ShortlistMode::Auto => instance.is_trip() && n > DENSE_AUTO_MAX,
         };
-        // The shortlist needs full POI geometry; course catalogs (or
-        // unvalidated trip catalogs with POI-less items) fall back to
-        // the full scan.
-        let shortlist = (shortlist_wanted && instance.is_trip())
-            .then(geo_points)
-            .flatten()
-            .and_then(|points| {
-                let grid = GridIndex::from_points(points.iter().copied().zip(0..))?;
-                Some(Shortlist {
-                    grid,
-                    points,
-                    radius_km: params.shortlist_radius_km,
-                    top_k: params.shortlist_top_k.max(1),
-                })
-            });
-        let dist = if instance.is_trip() && !naive {
-            match geo_points() {
-                // A POI-less item in a trip catalog is rejected by
-                // `PlanningInstance::validate`; an unvalidated instance
-                // keeps the direct path (and its original panic site).
-                None => DistCache::Direct,
-                Some(points) => {
-                    match DistanceMatrix::build_capped(&points, DistanceMatrix::DEFAULT_CAP) {
-                        Some(m) => DistCache::Matrix(m),
-                        // Over the matrix cap the per-step choice is a
-                        // full O(n) lazy-row rebuild vs one haversine
-                        // per probe. With a shortlist only ~top_k legs
-                        // are probed per step, so direct evaluation
-                        // wins (all three paths delegate to
-                        // `haversine_km` and are bit-identical).
-                        None if shortlist.is_some() => DistCache::Direct,
-                        None => DistCache::Lazy {
-                            points,
-                            row: RefCell::new(tpp_geo::LazyRowCache::new()),
-                        },
-                    }
-                }
-            }
-        } else {
-            DistCache::Direct
+        // Course catalogs have no geometry, and neither does an
+        // unvalidated trip catalog with a POI-less item (rejected by
+        // `PlanningInstance::validate`): both take the full scan and the
+        // direct legs, which keep their original panic site.
+        let geometry = instance
+            .is_trip()
+            .then(|| instance.catalog.geometry())
+            .flatten();
+        let shortlist = geometry.filter(|_| shortlist_wanted).and_then(|geo| {
+            Some(Shortlist {
+                grid: geo.grid()?,
+                points: geo.points(),
+                radius_km: params.shortlist_radius_km,
+                top_k: params.shortlist_top_k.max(1),
+            })
+        });
+        let dist = match geometry.filter(|_| !naive) {
+            None => DistCache::Direct,
+            Some(geo) => match geo.matrix() {
+                Some(m) => DistCache::Matrix(m),
+                // Over the matrix cap the per-step choice is a full
+                // O(n) lazy-row rebuild vs one haversine per probe.
+                // With a shortlist only ~top_k legs are probed per step,
+                // so direct evaluation wins (all three paths delegate to
+                // `haversine_km` and are bit-identical).
+                None if shortlist.is_some() => DistCache::Direct,
+                None => DistCache::Lazy {
+                    points: geo.points(),
+                    row: RefCell::new(tpp_geo::LazyRowCache::new()),
+                },
+            },
         };
         let sim = model.sim_tracker();
         let coverage = instance.catalog.vocabulary().zero_vector();
@@ -996,6 +983,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn envs_over_one_catalog_borrow_one_matrix() {
+        let inst = trip_instance();
+        let params = PlannerParams::trip_defaults();
+        let matrix = |env: &TppEnv<'_>| match env.dist {
+            DistCache::Matrix(m) => m as *const DistanceMatrix,
+            ref other => panic!("expected the catalog matrix, got {other:?}"),
+        };
+        let a = TppEnv::new(&inst, &params);
+        let b = TppEnv::new(&inst, &params);
+        assert!(std::ptr::eq(matrix(&a), matrix(&b)));
+        let shared = inst.catalog.geometry().unwrap().matrix().unwrap();
+        assert!(std::ptr::eq(matrix(&a), shared));
+        // The naive engine keeps its direct haversine legs.
+        let naive = TppEnv::new(&inst, &params.clone().with_naive_hot_path(true));
+        assert!(matches!(naive.dist, DistCache::Direct));
+    }
+
+    #[test]
+    fn shortlists_borrow_the_catalog_grid() {
+        let inst = trip_instance();
+        let mut params = PlannerParams::trip_defaults();
+        params.shortlist = ShortlistMode::On;
+        let grid =
+            |env: &TppEnv<'_>| env.shortlist.as_ref().expect("shortlist on").grid as *const _;
+        let (a, b) = (TppEnv::new(&inst, &params), TppEnv::new(&inst, &params));
+        assert!(std::ptr::eq(grid(&a), grid(&b)));
+        assert!(std::ptr::eq(
+            grid(&a),
+            inst.catalog.geometry().unwrap().grid().unwrap()
+        ));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use feedback::{Feedback, FeedbackConfig, FeedbackLoop};
 pub use params::{PlannerParams, QReprMode, ShortlistMode, SimAggregate, StartPolicy, TypeWeights};
 pub use planner::{LearnedPolicy, RlPlanner};
 pub use reward::{InterleavingKernel, RewardModel, SimTracker};
-pub use score::{plan_violations, raw_score, score_plan};
+pub use score::{plan_violations, raw_score, score_plan, score_with_violations};
 pub use signature::constraint_signature;
 pub use transfer::{course_mapping_by_code, poi_mapping_by_theme, transfer_policy};
 // The cooperative compute budget threaded through the planner loop

@@ -31,7 +31,17 @@ pub fn plan_violations(instance: &PlanningInstance, plan: &Plan) -> Vec<Violatio
 /// violated; otherwise the Eq. 7 best-template similarity (courses) or
 /// the mean popularity (trips).
 pub fn score_plan(instance: &PlanningInstance, plan: &Plan) -> f64 {
-    if plan.is_empty() || !plan_violations(instance, plan).is_empty() {
+    score_with_violations(instance, plan, &plan_violations(instance, plan))
+}
+
+/// [`score_plan`] for a plan whose [`plan_violations`] are already
+/// known: 0 for an empty or violating plan, [`raw_score`] otherwise.
+pub fn score_with_violations(
+    instance: &PlanningInstance,
+    plan: &Plan,
+    violations: &[Violation],
+) -> f64 {
+    if plan.is_empty() || !violations.is_empty() {
         return 0.0;
     }
     raw_score(instance, plan)

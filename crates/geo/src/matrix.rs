@@ -4,13 +4,15 @@
 //! POI per step; recomputing the haversine for every probe makes the
 //! trig functions the hot path. A trip catalog is small (order 10²
 //! POIs) and immutable, so the full `n × n` distance matrix is computed
-//! once per instance and probed with a single indexed load afterwards —
+//! once per catalog and probed with a single indexed load afterwards —
 //! the same "precompute the pairwise structure once per catalog" move
-//! OMEGA-style recommenders apply to co-consumption counts.
+//! OMEGA-style recommenders apply to co-consumption counts. The catalog
+//! owns it (`tpp_model::Catalog::geometry` builds it on first use) and
+//! every planning environment over the catalog borrows it.
 //!
 //! Catalogs above [`DistanceMatrix::DEFAULT_CAP`] items would make the
-//! dense matrix memory-hungry (`n²` f64s); callers fall back to
-//! caching one row at a time (see `tpp-core`'s environment).
+//! dense matrix memory-hungry (`n²` f64s); each environment then caches
+//! one row at a time ([`LazyRowCache`], see `tpp-core`'s environment).
 
 use crate::point::{haversine_km, GeoPoint};
 

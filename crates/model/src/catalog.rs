@@ -1,6 +1,7 @@
 //! Catalogs: the item universe `I` with its topic vocabulary.
 
 use crate::error::ModelError;
+use crate::geometry::{CatalogGeometry, GeometryCell};
 use crate::ids::ItemId;
 use crate::item::{Item, ItemKind};
 use crate::topic::TopicVocabulary;
@@ -16,6 +17,9 @@ use std::collections::HashMap;
 /// * every topic vector has the vocabulary's length;
 /// * prerequisite expressions only reference catalog items, never the item
 ///   itself, and the prerequisite graph is acyclic.
+///
+/// A trip catalog also derives its geometry ([`Catalog::geometry`]),
+/// built on first use and shared by every clone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Catalog {
     name: String,
@@ -23,6 +27,8 @@ pub struct Catalog {
     items: Vec<Item>,
     #[serde(skip)]
     code_index: HashMap<String, ItemId>,
+    #[serde(skip)]
+    geometry: GeometryCell,
 }
 
 impl Catalog {
@@ -53,6 +59,7 @@ impl Catalog {
             vocabulary,
             items,
             code_index,
+            geometry: GeometryCell::default(),
         };
         cat.check_prereqs()?;
         Ok(cat)
@@ -190,6 +197,12 @@ impl Catalog {
     /// `true` if any item carries POI attributes (trip catalog).
     pub fn is_trip_catalog(&self) -> bool {
         self.items.iter().any(|i| i.poi.is_some())
+    }
+
+    /// The trip geometry over every item's POI, built on the first
+    /// call; `None` when the catalog is empty or an item has no POI.
+    pub fn geometry(&self) -> Option<&CatalogGeometry> {
+        self.geometry.get_or_build(&self.items)
     }
 }
 

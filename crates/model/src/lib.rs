@@ -12,7 +12,8 @@
 //!
 //! This crate contains only the domain model: identifiers, topic-vector
 //! bitsets, items with AND/OR prerequisite expressions, constraint types,
-//! interleaving templates, plans, catalogs, and plan validation. The CMDP
+//! interleaving templates, plans, catalogs with their derived trip
+//! geometry, and plan validation. The CMDP
 //! formulation, reward design and learners live in `tpp-core`.
 
 #![warn(missing_docs)]
@@ -21,6 +22,7 @@ pub mod builder;
 pub mod catalog;
 pub mod constraints;
 pub mod error;
+pub mod geometry;
 pub mod ids;
 pub mod instance;
 pub mod item;
@@ -35,6 +37,7 @@ pub use builder::CatalogBuilder;
 pub use catalog::Catalog;
 pub use constraints::{HardConstraints, SoftConstraints, TripConstraints};
 pub use error::ModelError;
+pub use geometry::CatalogGeometry;
 pub use ids::{ItemId, TopicId};
 pub use instance::PlanningInstance;
 pub use item::{Category, Item, ItemKind, PoiAttrs};

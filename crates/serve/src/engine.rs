@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tpp_core::{
-    constraint_signature, plan_violations, score_plan, Budget, PlannerParams, RlPlanner,
+    constraint_signature, plan_violations, score_with_violations, Budget, PlannerParams, RlPlanner,
 };
 use tpp_model::{ItemId, Plan, PlanningInstance};
 use tpp_obs::{obs_event, Level};
@@ -765,7 +765,10 @@ impl ServeEngine {
                         .iter()
                         .map(|&id| instance.catalog.item(id).code.as_str()),
                 )
-                .f64("score", score_plan(instance, &result.plan))
+                .f64(
+                    "score",
+                    score_with_violations(instance, &result.plan, &violations),
+                )
                 .u64("violations", violations.len() as u64);
             if !fell_back_because.is_empty() {
                 obj = obj.str_arr("fallbacks", fell_back_because.iter().map(String::as_str));
@@ -1800,6 +1803,74 @@ mod tests {
         // The next request sees a clean world.
         let r2 = parse(&e.handle_line(r#"{"op":"health"}"#)).unwrap();
         assert_eq!(get(&r2, "ok"), &Json::Bool(true));
+    }
+
+    /// The daemon builds each dataset's geometry once: a cold plan, its
+    /// cache hit and a second cold plan all borrow one matrix, and the
+    /// answers match a planner run on a separately resolved instance.
+    #[test]
+    fn trip_dataset_keeps_one_matrix_across_requests() {
+        let e = engine();
+        let (inst, params) = resolve_dataset("nyc").unwrap();
+        let start = inst.default_start.unwrap();
+        let expected = |seed: u64| {
+            let mut params = params.clone().with_start(start);
+            params.episodes = 60;
+            let (policy, _) = RlPlanner::learn_budgeted(
+                &inst,
+                &params,
+                seed,
+                None,
+                0,
+                &Budget::unlimited(),
+                |_| Ok(()),
+            )
+            .unwrap();
+            let plan = RlPlanner::recommend_with_q(&policy.q, &inst, &params, start);
+            let codes: Vec<String> = plan
+                .items()
+                .iter()
+                .map(|&id| inst.catalog.item(id).code.clone())
+                .collect();
+            (codes, tpp_core::score_plan(&inst, &plan))
+        };
+        let mut matrix = None;
+        for (line, seed, cached) in [
+            (
+                r#"{"op":"plan","dataset":"nyc","episodes":60,"seed":11}"#,
+                11,
+                false,
+            ),
+            (
+                r#"{"op":"plan","dataset":"nyc","episodes":60,"seed":11}"#,
+                11,
+                true,
+            ),
+            (
+                r#"{"op":"plan","dataset":"nyc","episodes":60,"seed":12}"#,
+                12,
+                false,
+            ),
+        ] {
+            let r = parse(&e.handle_line(line)).unwrap();
+            assert_eq!(get(&r, "tier").as_str(), Some("train"), "{r:?}");
+            assert_eq!(get(&r, "cached"), &Json::Bool(cached), "{r:?}");
+            let ds = e.dataset("nyc").unwrap();
+            let m: *const _ = ds.instance.catalog.geometry().unwrap().matrix().unwrap();
+            assert_eq!(*matrix.get_or_insert(m), m, "one matrix per dataset");
+            let (codes, score) = expected(seed);
+            let Json::Arr(plan) = get(&r, "plan") else {
+                panic!("plan is an array: {r:?}");
+            };
+            let plan: Vec<&str> = plan.iter().map(|c| c.as_str().unwrap()).collect();
+            assert_eq!(plan, codes, "seed {seed}");
+            assert_eq!(
+                get(&r, "score").as_f64().unwrap().to_bits(),
+                score.to_bits()
+            );
+        }
+        let own = inst.catalog.geometry().unwrap().matrix().unwrap();
+        assert!(!std::ptr::eq(matrix.unwrap(), own));
     }
 
     #[test]
