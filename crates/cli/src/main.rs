@@ -11,17 +11,8 @@
 //! rl-planner recommend --dataset <name> (--policy policy.qpol | --checkpoint-dir DIR) [--start CODE]
 //! rl-planner serve [--checkpoint-dir DIR] [--socket PATH] [--tcp HOST:PORT] [...]
 //! rl-planner datagen --dataset <name> --out dataset.json
-//! rl-planner bench [--dataset <name>] [--episodes N] [--seed N]
-//!   [--max-q-bytes N] [--out BENCH_train.json]
 //! rl-planner bench --load [--rate N] [--duration-s S] [--chaos SPEC] [...]
 //! ```
-//!
-//! `bench` times full training runs (episodes/second) on each benchmark
-//! dataset twice — once with the incremental hot-path engine, once with
-//! the naive pre-incremental engine (`naive_hot_path`) — and writes the
-//! comparison as JSON. Both engines are bit-identical in their outputs
-//! (the golden equivalence suite pins this), so the speedup column is a
-//! pure like-for-like measurement.
 //!
 //! With `--checkpoint-dir` the trainer persists a crash-safe snapshot
 //! every N episodes (generational, keep-last-K, atomic writes) and
@@ -122,10 +113,6 @@ const USAGE: &str = "usage:
   rl-planner obs metrics SNAPSHOT.json [--format prom|text|json]
   rl-planner obs trace TRACE.jsonl [--trace-id HEX]
   rl-planner datagen --dataset <name> --out dataset.json
-  rl-planner bench [--dataset <name>] [--episodes N] [--seed N]
-                   [--max-q-bytes N] [--out BENCH_train.json]
-  rl-planner bench --serve [--dataset <name>] [--requests N] [--episodes N]
-                   [--seed N] [--out BENCH_serve.json]
   rl-planner bench --load [--addr HOST:PORT] [--rate N] [--duration-s S]
                    [--profile hot=80,cold=10,recommend=0,malformed=5,slow=5]
                    [--chaos SPEC] [--flight-dir DIR]
@@ -192,9 +179,6 @@ serving over TCP (serve --tcp):
   --accept-limit N        stop after accepting N connections (smoke tests)
   a `shutdown` request begins a graceful drain: stop accepting, answer
   every in-flight request, then exit
-serve bench (bench --serve):
-  --requests N            requests per dataset, first one cold (default 50)
-  --episodes N            training episodes per plan request (default 300)
 load bench (bench --load):
   --addr HOST:PORT        storm a running daemon (default: host one in-process)
   --rate N                arrivals per second, open loop (default 200)
@@ -332,7 +316,6 @@ impl<'a> Flags<'a> {
                     key,
                     "min-sim"
                         | "resume"
-                        | "serve"
                         | "no-cache"
                         | "load"
                         | "no-supervise"
@@ -427,8 +410,6 @@ const SERVE_FLAGS: &[&str] = &[
     "batch-max",
     "batch-wait-us",
 ];
-const BENCH_TRAIN_FLAGS: &[&str] = &["dataset", "start", "episodes", "seed", "max-q-bytes", "out"];
-const BENCH_SERVE_FLAGS: &[&str] = &["serve", "dataset", "requests", "episodes", "seed", "out"];
 const BENCH_LOAD_FLAGS: &[&str] = &[
     "load",
     "addr",
@@ -1033,283 +1014,13 @@ fn run(args: &[String], obs: &ObsOptions) -> Result<Outcome, String> {
             Ok(Outcome::Clean)
         }
         "bench" => {
-            let mode = |switch: &str| args[1..].iter().any(|a| a == switch);
-            if mode("--load") {
-                return bench_load(&Flags::parse(&args[1..], BENCH_LOAD_FLAGS)?, obs);
+            if !args[1..].iter().any(|a| a == "--load") {
+                return Err("bench needs --load (the open-loop load storm is its one mode)".into());
             }
-            if mode("--serve") {
-                return bench_serve(&Flags::parse(&args[1..], BENCH_SERVE_FLAGS)?, obs);
-            }
-            let flags = Flags::parse(&args[1..], BENCH_TRAIN_FLAGS)?;
-            let episodes: Option<usize> = flags
-                .get("episodes")
-                .map(|n| n.parse().map_err(|_| "bad --episodes"))
-                .transpose()?;
-            let seed: u64 = flags
-                .get("seed")
-                .unwrap_or("0")
-                .parse()
-                .map_err(|_| "bad --seed")?;
-            let max_q_bytes: Option<usize> = flags
-                .get("max-q-bytes")
-                .map(|n| n.parse().map_err(|_| "bad --max-q-bytes"))
-                .transpose()?;
-            let out = flags.get("out").unwrap_or("BENCH_train.json");
-            let names: Vec<&str> = match flags.get("dataset") {
-                Some(d) => vec![d],
-                None => vec!["ds-ct", "univ2", "nyc", "paris", "city-1k", "city-10k"],
-            };
-            let mut rows = Vec::with_capacity(names.len());
-            for name in names {
-                let (instance, mut params) = dataset(name)?;
-                // City-scale catalogs: the naive engine's full prefix
-                // rescans are quadratic in |I| and would dominate the
-                // whole bench, so large rows measure the incremental
-                // engine only, with a bounded default episode budget.
-                let large = instance.catalog.len() > tpp_core::DENSE_AUTO_MAX;
-                params.episodes = match episodes {
-                    Some(n) => n,
-                    None if large => 300,
-                    None => params.episodes,
-                };
-                let start = resolve_start(&instance, flags.get("start"))?;
-                let params = params.with_start(start);
-                let run = |params: &PlannerParams| -> (f64, f64, usize, bool) {
-                    let t0 = std::time::Instant::now();
-                    let (policy, _) = RlPlanner::learn(&instance, params, seed);
-                    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-                    let score = score_plan(
-                        &instance,
-                        &RlPlanner::recommend(&policy, &instance, params, start),
-                    );
-                    (
-                        params.episodes as f64 / secs,
-                        score,
-                        policy.q.approx_bytes(),
-                        policy.q.is_sparse(),
-                    )
-                };
-                // Warm up caches/allocator on the incremental engine so
-                // neither measured run pays first-touch costs.
-                let mut warm = params.clone();
-                warm.episodes = warm.episodes.min(5);
-                let _ = run(&warm);
-                let (incremental_eps, score, q_approx_bytes, sparse) = run(&params);
-                let (naive_eps, naive_score) = if large {
-                    (None, None)
-                } else {
-                    let (eps, s, _, _) = run(&params.clone().with_naive_hot_path(true));
-                    (Some(eps), Some(s))
-                };
-                let row = BenchRow {
-                    dataset: name.to_owned(),
-                    items: instance.catalog.len(),
-                    episodes: params.episodes,
-                    incremental_episodes_per_sec: incremental_eps,
-                    naive_episodes_per_sec: naive_eps,
-                    speedup: naive_eps.map(|n| incremental_eps / n),
-                    score,
-                    scores_match: naive_score
-                        .map(|n| score.to_bits() == n.to_bits())
-                        .unwrap_or(true),
-                    q_approx_bytes,
-                    sparse,
-                };
-                match (row.naive_episodes_per_sec, row.speedup) {
-                    (Some(naive), Some(speedup)) => println!(
-                        "{:8} {:6} items  {:5} episodes  incremental {:9.1} ep/s  naive {:9.1} ep/s  speedup {:.2}x  q {} bytes",
-                        row.dataset,
-                        row.items,
-                        row.episodes,
-                        row.incremental_episodes_per_sec,
-                        naive,
-                        speedup,
-                        row.q_approx_bytes
-                    ),
-                    _ => println!(
-                        "{:8} {:6} items  {:5} episodes  incremental {:9.1} ep/s  (naive skipped at this scale)  q {} bytes ({})",
-                        row.dataset,
-                        row.items,
-                        row.episodes,
-                        row.incremental_episodes_per_sec,
-                        row.q_approx_bytes,
-                        if row.sparse { "sparse" } else { "dense" }
-                    ),
-                }
-                if !row.scores_match {
-                    eprintln!(
-                        "warning: {name} scores diverge (incremental {score}, naive {naive_score:?})"
-                    );
-                }
-                if let Some(cap) = max_q_bytes {
-                    if row.q_approx_bytes > cap {
-                        return Err(format!(
-                            "{name}: resident Q-table is {} bytes, over the --max-q-bytes cap of {cap} \
-                             (a dense allocation leaked into the sparse path?)",
-                            row.q_approx_bytes
-                        ));
-                    }
-                }
-                rows.push(row);
-            }
-            let report = BenchReport { seed, rows };
-            tpp_store::save_json(out, &report).map_err(|e| e.to_string())?;
-            println!("(benchmark report written to {out})");
-            obs.summary();
-            Ok(Outcome::Clean)
+            bench_load(&Flags::parse(&args[1..], BENCH_LOAD_FLAGS)?, obs)
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
-}
-
-/// `bench --serve`: daemon throughput with the policy cache — one cold
-/// request per dataset (trains and fills the cache), then identical
-/// warm requests that must hit. Verifies cached plans/scores are
-/// bit-identical to the cold (uncached) answer and writes the report
-/// (default `BENCH_serve.json`).
-fn bench_serve(flags: &Flags, obs: &ObsOptions) -> Result<Outcome, String> {
-    use std::sync::atomic::Ordering::Relaxed;
-    use tpp_obs::json::{parse, Json};
-
-    let requests: usize = flags
-        .get("requests")
-        .unwrap_or("50")
-        .parse()
-        .map_err(|_| "bad --requests")?;
-    if requests < 2 {
-        return Err("--requests must be at least 2 (one cold + warm repeats)".into());
-    }
-    let episodes: u64 = flags
-        .get("episodes")
-        .unwrap_or("300")
-        .parse()
-        .map_err(|_| "bad --episodes")?;
-    let seed: u64 = flags
-        .get("seed")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let out = flags.get("out").unwrap_or("BENCH_serve.json");
-    let names: Vec<&str> = match flags.get("dataset") {
-        Some(d) => vec![d],
-        None => vec!["ds-ct", "univ2", "nyc", "paris"],
-    };
-
-    // Pulls (plan, score bits, cached flag) out of a response line.
-    let plan_of = |resp: &str| -> Result<(Vec<String>, u64, bool), String> {
-        let v = parse(resp).map_err(|e| format!("unparsable response: {e}"))?;
-        if v.get("ok") != Some(&Json::Bool(true)) {
-            return Err(format!("plan request failed: {resp}"));
-        }
-        let plan = match v.get("plan") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|j| {
-                    j.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| "non-string plan item".to_owned())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(format!("response without a plan: {resp}")),
-        };
-        let score = v
-            .get("score")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("response without a score: {resp}"))?;
-        let cached = v.get("cached") == Some(&Json::Bool(true));
-        Ok((plan, score.to_bits(), cached))
-    };
-
-    let mut rows = Vec::with_capacity(names.len());
-    for name in names {
-        let (instance, _) = tpp_serve::resolve_dataset(name)?;
-        let engine = tpp_serve::ServeEngine::new(tpp_serve::ServeConfig::default());
-        let line =
-            format!(r#"{{"op":"plan","dataset":"{name}","episodes":{episodes},"seed":{seed}}}"#);
-
-        let t0 = std::time::Instant::now();
-        let cold_resp = engine.handle_line(&line);
-        let cold_secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let (cold_plan, cold_bits, _) = plan_of(&cold_resp)?;
-
-        let warm_n = requests - 1;
-        let mut warm_resps = Vec::with_capacity(warm_n);
-        let t1 = std::time::Instant::now();
-        for _ in 0..warm_n {
-            warm_resps.push(engine.handle_line(&line));
-        }
-        let warm_secs = t1.elapsed().as_secs_f64().max(1e-9);
-
-        let mut scores_match = true;
-        let mut warm_cached = 0usize;
-        for resp in &warm_resps {
-            let (plan, bits, cached) = plan_of(resp)?;
-            scores_match &= plan == cold_plan && bits == cold_bits;
-            warm_cached += cached as usize;
-        }
-
-        let c = &engine.cache.counters;
-        let row = ServeBenchRow {
-            dataset: name.to_owned(),
-            items: instance.catalog.len(),
-            episodes,
-            requests,
-            cold_requests_per_sec: 1.0 / cold_secs,
-            warm_requests_per_sec: warm_n as f64 / warm_secs,
-            speedup: (warm_n as f64 / warm_secs) * cold_secs,
-            scores_match,
-            warm_cached,
-            score: f64::from_bits(cold_bits),
-            cache_hits: c.hits.load(Relaxed),
-            cache_misses: c.misses.load(Relaxed),
-            cache_coalesced: c.coalesced.load(Relaxed),
-        };
-        println!(
-            "{:8} {:4} items  {:5} episodes  cold {:8.1} req/s  warm {:9.1} req/s  speedup {:.1}x  scores_match {}",
-            row.dataset,
-            row.items,
-            row.episodes,
-            row.cold_requests_per_sec,
-            row.warm_requests_per_sec,
-            row.speedup,
-            row.scores_match
-        );
-        if !row.scores_match {
-            eprintln!("warning: {name} cached responses diverge from the cold answer");
-        }
-        rows.push(row);
-    }
-    // End-to-end plan latency percentiles come from the same
-    // `serve.op.plan_us` histogram the daemon's `metrics` op exposes —
-    // the bench is just another reader of the registry.
-    let s = tpp_obs::metrics().histogram("serve.op.plan_us").summary();
-    let plan_latency_us = LatencySummary {
-        count: s.count,
-        mean: s.mean,
-        p50: s.p50,
-        p95: s.p95,
-        p99: s.p99,
-        p999: s.p999,
-        max: s.max,
-    };
-    println!(
-        "plan latency (all datasets): p50 {} us  p95 {} us  p99 {} us  p999 {} us  max {} us",
-        plan_latency_us.p50,
-        plan_latency_us.p95,
-        plan_latency_us.p99,
-        plan_latency_us.p999,
-        plan_latency_us.max
-    );
-    let report = ServeBenchReport {
-        seed,
-        requests,
-        rows,
-        plan_latency_us,
-    };
-    tpp_store::save_json(out, &report).map_err(|e| e.to_string())?;
-    println!("(serve benchmark report written to {out})");
-    obs.summary();
-    Ok(Outcome::Clean)
 }
 
 /// `bench --load`: open-loop TCP load/chaos harness. Starts an
@@ -1718,60 +1429,6 @@ fn bench_load(flags: &Flags, obs: &ObsOptions) -> Result<Outcome, String> {
     Ok(Outcome::Clean)
 }
 
-/// One dataset's timing comparison in the `bench` report. City-scale
-/// rows skip the naive engine (quadratic rescans don't finish at that
-/// scale), so the naive/speedup columns are `null` there.
-#[derive(serde::Serialize)]
-struct BenchRow {
-    dataset: String,
-    items: usize,
-    episodes: usize,
-    incremental_episodes_per_sec: f64,
-    /// `null` on city-scale rows (naive engine skipped).
-    naive_episodes_per_sec: Option<f64>,
-    /// `null` on city-scale rows (naive engine skipped).
-    speedup: Option<f64>,
-    score: f64,
-    /// Sanity bit: the two engines produced bit-identical final scores
-    /// (they always should; the equivalence suite enforces it).
-    /// Vacuously true when the naive engine was skipped.
-    scores_match: bool,
-    /// Resident bytes of the learned Q-table — the no-dense-allocation
-    /// gate for city-scale rows (`--max-q-bytes`).
-    q_approx_bytes: usize,
-    /// Whether the learned table used the sparse representation.
-    sparse: bool,
-}
-
-/// The JSON document `rl-planner bench` writes (`BENCH_train.json`).
-#[derive(serde::Serialize)]
-struct BenchReport {
-    seed: u64,
-    rows: Vec<BenchRow>,
-}
-
-/// One dataset's cold-vs-warm throughput in the `bench --serve` report.
-#[derive(serde::Serialize)]
-struct ServeBenchRow {
-    dataset: String,
-    items: usize,
-    episodes: u64,
-    requests: usize,
-    /// First request: trains a policy, fills the cache.
-    cold_requests_per_sec: f64,
-    /// Identical follow-ups, served from the policy cache.
-    warm_requests_per_sec: f64,
-    speedup: f64,
-    /// Every warm plan and score was bit-identical to the cold answer.
-    scores_match: bool,
-    /// Warm responses that reported `cached: true`.
-    warm_cached: usize,
-    score: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_coalesced: u64,
-}
-
 /// Exact client-observed latency percentiles in the `bench --load`
 /// report.
 #[derive(serde::Serialize)]
@@ -1869,26 +1526,4 @@ struct LoadBenchReport {
     self_healing: Option<SelfHealingSummary>,
     /// Present when the daemon ran in-process (absent with `--addr`).
     batching: Option<BatchingSummary>,
-}
-
-/// Latency percentiles lifted from one registry histogram.
-#[derive(serde::Serialize)]
-struct LatencySummary {
-    count: u64,
-    mean: f64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    p999: u64,
-    max: u64,
-}
-
-/// Root of `BENCH_serve.json`.
-#[derive(serde::Serialize)]
-struct ServeBenchReport {
-    seed: u64,
-    requests: usize,
-    rows: Vec<ServeBenchRow>,
-    /// `serve.op.plan_us` percentiles across every request in the run.
-    plan_latency_us: LatencySummary,
 }

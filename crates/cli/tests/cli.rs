@@ -180,6 +180,13 @@ fn unknown_arguments_fail_with_usage() {
 
     let out = bin().args(["exp", "table99"]).output().expect("spawn");
     assert!(!out.status.success());
+
+    // `bench` has one mode, the `--load` storm.
+    let out = bin().arg("bench").output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("bench needs --load"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]
@@ -192,7 +199,7 @@ fn unknown_flags_are_usage_errors() {
             "--episode",
         ),
         (&["gold", "--dataset", "ds-ct", "--resume"], "--resume"),
-        (&["bench", "--serve", "--rate", "10"], "--rate"),
+        (&["bench", "--load", "--requests", "10"], "--requests"),
     ] {
         let out = bin().args(args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(1), "{args:?}");

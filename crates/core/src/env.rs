@@ -12,7 +12,7 @@ use crate::params::{PlannerParams, ShortlistMode};
 use crate::reward::{RewardModel, SimTracker};
 use std::cell::{Cell, RefCell};
 use tpp_geo::{haversine_km, DistanceMatrix, GeoPoint, GridIndex};
-use tpp_model::{ItemId, ItemKind, Plan, PlanningInstance, PrereqExpr, TopicVector};
+use tpp_model::{ItemId, ItemKind, Plan, PlanningInstance, PrereqExpr};
 use tpp_rl::{Environment, StepOutcome, DENSE_AUTO_MAX};
 
 /// Float tolerance on the `#cr` budget boundary, shared by the
@@ -21,7 +21,7 @@ use tpp_rl::{Environment, StepOutcome, DENSE_AUTO_MAX};
 /// `elapsed + cr^m ≤ #cr + ε`, so `elapsed_hours` can never exceed
 /// `#cr` by more than accumulated float error, and a course episode is
 /// over once `elapsed ≥ #cr − ε`.
-const CREDIT_EPS: f64 = 1e-9;
+pub(crate) const CREDIT_EPS: f64 = 1e-9;
 
 /// Why the constraint gate rejected a candidate action (§III-A's action
 /// validity: only feasible items are explorable).
@@ -63,7 +63,7 @@ pub struct GateCounts {
 }
 
 impl GateCounts {
-    fn bump(&mut self, reason: GateReject) {
+    pub(crate) fn bump(&mut self, reason: GateReject) {
         match reason {
             GateReject::Credits => self.credits += 1,
             GateReject::ThemeGap => self.theme_gap += 1,
@@ -83,8 +83,9 @@ impl GateCounts {
 /// and borrowed by every env over it.
 #[derive(Debug, Clone)]
 enum DistCache<'a> {
-    /// No geometry: course instances, POI-less items (rejected by
-    /// [`PlanningInstance::validate`]), or the naive benchmark path.
+    /// One [`haversine_km`] per leg: course instances, POI-less items
+    /// (rejected by [`PlanningInstance::validate`]), or an over-cap
+    /// catalog with a shortlist, which probes only ~`top_k` legs a step.
     Direct,
     /// The catalog's distance matrix, present for catalogs of at most
     /// [`DistanceMatrix::DEFAULT_CAP`] items.
@@ -127,7 +128,7 @@ struct ItemTables<'a> {
     credits: Vec<f64>,
     kinds: Vec<ItemKind>,
     prereqs: Vec<&'a PrereqExpr>,
-    /// Topic words, `words` per item ([`TopicVector::blocks`]).
+    /// Topic words, `words` per item ([`tpp_model::TopicVector::blocks`]).
     topics: Vec<u64>,
     words: usize,
     /// Eq. 2's `β · w(m)` ([`RewardModel::type_term`]).
@@ -208,21 +209,10 @@ pub struct TppEnv<'a> {
     credits_admit_cap: f64,
     /// `#cr − ε`, precomputed for the course termination check.
     credits_done_floor: f64,
-    /// Benchmark/equivalence switch: recompute distances and template
-    /// similarity from scratch every probe (the pre-incremental hot
-    /// path) instead of using the caches. Semantics are identical; only
-    /// the work per step differs.
-    naive: bool,
     tables: ItemTables<'a>,
     // --- episode state ---
     visited: Vec<bool>,
-    /// Item positions and the prefix's kinds and coverage: the naive
-    /// path's inputs.
-    positions: Vec<Option<usize>>,
-    seq_kinds: Vec<ItemKind>,
-    coverage: TopicVector,
-    /// Incremental Eq. 6/7 prefix counters, kept in lockstep with
-    /// `seq_kinds`.
+    /// Incremental Eq. 6/7 prefix counters over the seated kinds.
     sim: SimTracker,
     /// `⌊pos/gap⌋` of each seated item; `usize::MAX` while unseated.
     seated_block: Vec<usize>,
@@ -250,7 +240,6 @@ impl<'a> TppEnv<'a> {
             params,
             instance.is_trip(),
         );
-        let naive = params.naive_hot_path;
         let shortlist_wanted = match params.shortlist {
             ShortlistMode::Off => false,
             ShortlistMode::On => true,
@@ -272,7 +261,7 @@ impl<'a> TppEnv<'a> {
                 top_k: params.shortlist_top_k.max(1),
             })
         });
-        let dist = match geometry.filter(|_| !naive) {
+        let dist = match geometry {
             None => DistCache::Direct,
             Some(geo) => match geo.matrix() {
                 Some(m) => DistCache::Matrix(m),
@@ -289,8 +278,8 @@ impl<'a> TppEnv<'a> {
             },
         };
         let sim = model.sim_tracker();
-        let coverage = instance.catalog.vocabulary().zero_vector();
-        let tables = ItemTables::new(instance, &model, coverage.blocks().len());
+        let words = instance.catalog.vocabulary().zero_vector().blocks().len();
+        let tables = ItemTables::new(instance, &model, words);
         let missing = model.ideal().blocks().to_vec();
         let mut env = TppEnv {
             instance,
@@ -301,12 +290,8 @@ impl<'a> TppEnv<'a> {
             shortlist,
             credits_admit_cap: instance.hard.credits + CREDIT_EPS,
             credits_done_floor: instance.hard.credits - CREDIT_EPS,
-            naive,
             tables,
             visited: vec![false; n],
-            positions: vec![None; n],
-            seq_kinds: Vec::with_capacity(instance.horizon()),
-            coverage,
             sim,
             seated_block: vec![usize::MAX; n],
             sim_term: [0.0; 2],
@@ -319,11 +304,6 @@ impl<'a> TppEnv<'a> {
         };
         env.refresh_step_terms();
         env
-    }
-
-    /// The reward model in use (shared with the EDA baseline).
-    pub fn model(&self) -> &RewardModel {
-        &self.model
     }
 
     /// The item sequence accumulated this episode, as a [`Plan`].
@@ -376,11 +356,8 @@ impl<'a> TppEnv<'a> {
         let item = &self.instance.catalog.items()[j];
         let pos = self.items.len();
         self.visited[j] = true;
-        self.positions[j] = Some(pos);
         self.seated_block[j] = self.model.block_of(pos);
-        self.seq_kinds.push(item.kind);
         self.sim.push(item.kind);
-        self.coverage.union_with(&item.topics);
         for (m, t) in self.missing.iter_mut().zip(self.tables.topics(j)) {
             *m &= !t;
         }
@@ -446,39 +423,10 @@ impl<'a> TppEnv<'a> {
         None
     }
 
-    /// The naive engine's gate: the same rules read straight from the
-    /// catalog's items, with one haversine per leg.
-    fn gate_naive(&self, j: usize) -> Option<GateReject> {
-        let item = &self.instance.catalog.items()[j];
-        if self.elapsed_hours + item.credits > self.credits_admit_cap {
-            return Some(GateReject::Credits);
-        }
-        let Some(trip) = &self.instance.trip else {
-            return None;
-        };
-        if trip.no_consecutive_same_theme && !self.items.is_empty() {
-            let cur = &self.instance.catalog.items()[self.current].topics;
-            if cur.intersection_count(&item.topics) > 0 {
-                return Some(GateReject::ThemeGap);
-            }
-        }
-        if let Some(max_km) = trip.max_distance_km {
-            if !self.items.is_empty()
-                && self.travelled_km + self.leg_km(self.current, j) > max_km + 1e-9
-            {
-                return Some(GateReject::Distance);
-            }
-        }
-        None
-    }
-
     /// Gates the unvisited candidates into `buf` — the whole catalog, or
     /// the grid shortlist around the current item — and tallies the
     /// rejections.
-    fn scan<G>(&self, buf: &mut Vec<usize>, gate: G)
-    where
-        G: Fn(usize) -> Option<GateReject>,
-    {
+    fn scan(&self, buf: &mut Vec<usize>, ctx: &GateCtx<'_>) {
         let mut g = self.gates.get();
         if let Some(sl) = &self.shortlist {
             // Grid-pruned shortlist: gate candidates nearest-first and
@@ -491,7 +439,7 @@ impl<'a> TppEnv<'a> {
                     continue;
                 }
                 g.checked += 1;
-                match gate(j) {
+                match self.gate(j, ctx) {
                     None => {
                         buf.push(j);
                         if buf.len() >= sl.top_k {
@@ -508,7 +456,7 @@ impl<'a> TppEnv<'a> {
                     continue;
                 }
                 g.checked += 1;
-                match gate(j) {
+                match self.gate(j, ctx) {
                     None => buf.push(j),
                     Some(reason) => g.bump(reason),
                 }
@@ -537,12 +485,9 @@ impl Environment for TppEnv<'_> {
         let n = self.instance.catalog.len();
         assert!(start < n, "start {start} out of range {n}");
         self.visited.fill(false);
-        self.positions.fill(None);
         self.seated_block.fill(usize::MAX);
-        self.seq_kinds.clear();
         self.sim.reset();
         self.items.clear();
-        self.coverage.clear();
         self.missing.copy_from_slice(self.model.ideal().blocks());
         self.elapsed_hours = 0.0;
         self.travelled_km = 0.0;
@@ -559,12 +504,7 @@ impl Environment for TppEnv<'_> {
         if self.items.len() >= self.horizon || self.credits_exhausted() {
             return;
         }
-        if self.naive {
-            self.scan(buf, |j| self.gate_naive(j));
-        } else {
-            let ctx = self.gate_ctx();
-            self.scan(buf, |j| self.gate(j, &ctx));
-        }
+        self.scan(buf, &self.gate_ctx());
     }
 
     fn step(&mut self, action: usize) -> StepOutcome {
@@ -581,21 +521,11 @@ impl Environment for TppEnv<'_> {
         }
     }
 
-    /// Eq. 2 for appending `action`. The fast path does only the
-    /// candidate's share of the work: r1 is a popcount against the
-    /// missing ideal topics, r2 compares seated blocks, and the value is
-    /// the per-step similarity term plus the per-item type term.
+    /// Eq. 2 for appending `action`, doing only the candidate's share
+    /// of the work: r1 is a popcount against the missing ideal topics,
+    /// r2 compares seated blocks, and the value is the per-step
+    /// similarity term plus the per-item type term.
     fn peek_reward(&self, action: usize) -> f64 {
-        if self.naive {
-            let item = &self.instance.catalog.items()[action];
-            let positions = &self.positions;
-            let pos_of = |id: ItemId| positions[id.index()];
-            let prev = (!self.items.is_empty() && self.instance.is_trip())
-                .then(|| &self.instance.catalog.items()[self.current].topics);
-            return self
-                .model
-                .reward(item, &self.seq_kinds, &self.coverage, &pos_of, prev);
-        }
         let t = &self.tables;
         let topics = t.topics(action);
         let gain: u32 = topics
@@ -622,12 +552,13 @@ impl Environment for TppEnv<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tpp_model::toy;
     use tpp_model::TripConstraints;
 
-    fn course_instance() -> PlanningInstance {
+    /// The Table II toy course instance.
+    pub(crate) fn course_instance() -> PlanningInstance {
         PlanningInstance {
             catalog: toy::table2_catalog(),
             hard: toy::table2_hard(),
@@ -637,7 +568,7 @@ mod tests {
         }
     }
 
-    fn course_params() -> PlannerParams {
+    pub(crate) fn course_params() -> PlannerParams {
         let mut p = PlannerParams::univ1_defaults();
         p.epsilon = 1.0; // the paper's §III-B1 example threshold
         p
@@ -714,7 +645,8 @@ mod tests {
         assert_eq!(env.peek_reward(4), 0.0);
     }
 
-    fn trip_instance() -> PlanningInstance {
+    /// The Paris toy trip instance.
+    pub(crate) fn trip_instance() -> PlanningInstance {
         PlanningInstance {
             catalog: toy::paris_toy_catalog(),
             hard: toy::paris_toy_hard(),
@@ -946,46 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_incremental_paths_agree_on_toy_instances() {
-        // Lockstep walk of both engines over course and trip toys: same
-        // valid sets, bit-identical rewards at every step.
-        for inst in [course_instance(), trip_instance()] {
-            let params = if inst.is_trip() {
-                PlannerParams::trip_defaults()
-            } else {
-                course_params()
-            };
-            let naive_params = params.clone().with_naive_hot_path(true);
-            let mut fast = TppEnv::new(&inst, &params);
-            let mut naive = TppEnv::new(&inst, &naive_params);
-            fast.reset(0);
-            naive.reset(0);
-            let (mut fa, mut na) = (Vec::new(), Vec::new());
-            loop {
-                fast.valid_actions(&mut fa);
-                naive.valid_actions(&mut na);
-                assert_eq!(fa, na);
-                let Some(&a) = fa.first() else { break };
-                for &cand in &fa {
-                    assert_eq!(
-                        fast.peek_reward(cand).to_bits(),
-                        naive.peek_reward(cand).to_bits(),
-                        "candidate {cand} in {:?}",
-                        inst.catalog.name()
-                    );
-                }
-                let fo = fast.step(a);
-                let no = naive.step(a);
-                assert_eq!(fo.reward.to_bits(), no.reward.to_bits());
-                assert_eq!(fo.done, no.done);
-                if fo.done {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn envs_over_one_catalog_borrow_one_matrix() {
         let inst = trip_instance();
         let params = PlannerParams::trip_defaults();
@@ -998,9 +890,6 @@ mod tests {
         assert!(std::ptr::eq(matrix(&a), matrix(&b)));
         let shared = inst.catalog.geometry().unwrap().matrix().unwrap();
         assert!(std::ptr::eq(matrix(&a), shared));
-        // The naive engine keeps its direct haversine legs.
-        let naive = TppEnv::new(&inst, &params.clone().with_naive_hot_path(true));
-        assert!(matches!(naive.dist, DistCache::Direct));
     }
 
     #[test]

@@ -26,6 +26,8 @@
 
 pub mod env;
 pub mod feedback;
+#[cfg(test)]
+mod oracle;
 pub mod params;
 pub mod planner;
 pub mod reward;

@@ -1,15 +1,16 @@
-//! Golden equivalence suite: the incremental hot-path engine (distance
+//! Golden equivalence suite: the production engine, [`TppEnv`] (distance
 //! matrix, `SimTracker` prefix counters, per-item tables, per-step
-//! reward terms) must be **bit-identical** to the naive engine (full
-//! Eq. 6/7 prefix rescans, per-probe haversine) on every benchmark
-//! dataset.
+//! reward terms), must be **bit-identical** to the naive oracle,
+//! [`NaiveEnv`] (full Eq. 6/7 prefix rescans, per-probe haversine), on
+//! every benchmark dataset.
 //!
 //! Three layers of pinning:
 //!
 //! 1. A lockstep environment walk: at every step the two engines must
 //!    agree on the valid-action set and on `peek_reward` for **every**
 //!    candidate (compared via `f64::to_bits`, not a tolerance).
-//! 2. Full `learn()` + `recommend()`: same seed → identical Q tables,
+//! 2. Full `learn()` + `recommend()`, with the same SARSA loop and
+//!    greedy walk driving either engine: same seed → identical Q tables,
 //!    identical recommended plans, identical scores.
 //! 3. Seeded random walks under parameter variants that stress each
 //!    hoisted term of the fast path (the r1 threshold, the per-step
@@ -19,12 +20,13 @@
 //! If these ever diverge, the incremental engine has drifted from the
 //! paper's reward semantics — the naive path is the specification.
 
-use tpp_core::{
+use super::{learn_naive, recommend_naive, NaiveEnv};
+use crate::{
     score_plan, PlannerParams, QReprMode, RlPlanner, ShortlistMode, SimAggregate, StartPolicy,
     TppEnv, TypeWeights,
 };
 use tpp_datagen::defaults::{CITY_SEED, NYC_SEED, PARIS_SEED, UNIV1_SEED, UNIV2_SEED};
-use tpp_model::PlanningInstance;
+use tpp_model::{ItemId, PlanningInstance};
 use tpp_rl::{Environment, TrainRng};
 
 /// The four benchmark datasets, with training budgets trimmed so the
@@ -54,9 +56,8 @@ fn start_of(instance: &PlanningInstance) -> usize {
 #[test]
 fn lockstep_walk_is_bit_identical_on_all_datasets() {
     for (name, instance, params) in datasets() {
-        let naive_params = params.clone().with_naive_hot_path(true);
         let mut fast = TppEnv::new(&instance, &params);
-        let mut naive = TppEnv::new(&instance, &naive_params);
+        let mut naive = NaiveEnv::new(&instance, &params);
         let start = start_of(&instance);
         fast.reset(start);
         naive.reset(start);
@@ -254,13 +255,12 @@ fn training_is_bit_identical_on_all_datasets() {
     for (name, instance, params) in datasets() {
         let start = instance.default_start.unwrap_or(tpp_model::ItemId(0));
         let params = params.with_start(start);
-        let naive_params = params.clone().with_naive_hot_path(true);
         assert_eq!(params.start, StartPolicy::Fixed(start));
         for seed in [0u64, 7] {
             let (fast_policy, _) = RlPlanner::learn(&instance, &params, seed);
-            let (naive_policy, _) = RlPlanner::learn(&instance, &naive_params, seed);
+            let naive_table = learn_naive(&instance, &params, seed);
             let fast_q = fast_policy.q.values();
-            let naive_q = naive_policy.q.values();
+            let naive_q = naive_table.values();
             assert_eq!(fast_q.len(), naive_q.len());
             let diverged = fast_q
                 .iter()
@@ -271,7 +271,7 @@ fn training_is_bit_identical_on_all_datasets() {
                 "{name} seed {seed}: Q tables diverge at flat index {diverged:?}"
             );
             let fast_plan = RlPlanner::recommend(&fast_policy, &instance, &params, start);
-            let naive_plan = RlPlanner::recommend(&naive_policy, &instance, &naive_params, start);
+            let naive_plan = recommend_naive(&naive_table, &instance, &params, start);
             assert_eq!(
                 fast_plan.items(),
                 naive_plan.items(),
@@ -299,9 +299,20 @@ fn random_walk_lockstep(
     params: &PlannerParams,
     seed: u64,
 ) {
-    let naive_params = params.clone().with_naive_hot_path(true);
+    random_walk_lockstep_excluding(label, instance, params, seed, &[]);
+}
+
+/// [`random_walk_lockstep`] with `banned` excluded from every episode
+/// right after the reset, as the feedback loop does.
+fn random_walk_lockstep_excluding(
+    label: &str,
+    instance: &PlanningInstance,
+    params: &PlannerParams,
+    seed: u64,
+    banned: &[ItemId],
+) {
     let mut fast = TppEnv::new(instance, params);
-    let mut naive = TppEnv::new(instance, &naive_params);
+    let mut naive = NaiveEnv::new(instance, params);
     let mut rng = TrainRng::seed_from_u64(seed);
     let n = instance.catalog.len();
     let starts = [start_of(instance), rng.index(n), rng.index(n)];
@@ -309,6 +320,10 @@ fn random_walk_lockstep(
     for start in starts {
         fast.reset(start);
         naive.reset(start);
+        for &id in banned {
+            fast.exclude(id);
+            naive.exclude(id);
+        }
         for step in 0.. {
             fast.valid_actions(&mut fa);
             naive.valid_actions(&mut na);
@@ -431,15 +446,103 @@ fn random_walks_are_bit_identical_under_hoisted_term_variants() {
 }
 
 /// The grid shortlist gates candidates through the same gate as the full
-/// scan; walk it on Paris and on a 1k-POI city catalog.
+/// scan; walk it on Paris, on a 1k-POI city catalog, and on a 1 100-POI
+/// one past [`tpp_geo::DistanceMatrix::DEFAULT_CAP`], whose shortlist
+/// takes direct haversine legs.
 #[test]
 fn random_walks_are_bit_identical_on_the_shortlist_path() {
     let paris = tpp_datagen::paris(PARIS_SEED).instance;
     let city = tpp_datagen::city_1k(CITY_SEED).instance;
+    let over_cap = tpp_datagen::city(1_100, CITY_SEED).instance;
     let params = PlannerParams::trip_defaults().with_shortlist(ShortlistMode::On);
-    for (name, instance) in [("paris", paris), ("city-1k", city)] {
+    for (name, instance) in [("paris", paris), ("city-1k", city), ("city-1100", over_cap)] {
         for seed in 0..3 {
             random_walk_lockstep(&format!("{name} shortlist"), &instance, &params, seed);
+        }
+    }
+}
+
+/// The full scan past [`tpp_geo::DistanceMatrix::DEFAULT_CAP`]: a
+/// 1 100-POI city catalog reads its legs from the env's lazily rebuilt
+/// rows, the naive engine from one haversine per leg.
+#[test]
+fn random_walks_are_bit_identical_on_lazy_rows() {
+    let city = tpp_datagen::city(1_100, CITY_SEED).instance;
+    assert!(city.catalog.len() > tpp_geo::DistanceMatrix::DEFAULT_CAP);
+    let params = PlannerParams::trip_defaults().with_shortlist(ShortlistMode::Off);
+    for seed in 0..3 {
+        random_walk_lockstep("city-1100 full scan", &city, &params, seed);
+    }
+}
+
+/// The feedback loop's path: a few items excluded after every reset.
+#[test]
+fn random_walks_are_bit_identical_after_exclusions() {
+    let mut univ1 = PlannerParams::univ1_defaults();
+    univ1.episodes = 40;
+    let sets = [
+        ("ds-ct", tpp_datagen::univ1_ds_ct(UNIV1_SEED), univ1),
+        (
+            "paris",
+            tpp_datagen::paris(PARIS_SEED).instance,
+            PlannerParams::trip_defaults(),
+        ),
+    ];
+    for (name, instance, params) in sets {
+        let n = instance.catalog.len();
+        let banned: Vec<ItemId> = [1, n / 3, n / 2, n - 1]
+            .into_iter()
+            .map(|i| ItemId(i as u32))
+            .collect();
+        for seed in 0..3 {
+            random_walk_lockstep_excluding(
+                &format!("{name} excluding {banned:?}"),
+                &instance,
+                &params,
+                seed,
+                &banned,
+            );
+        }
+    }
+}
+
+/// The course and trip toys of `tpp_model::toy`, walked in lockstep
+/// along the first valid action: same valid sets, bit-identical rewards
+/// at every step.
+#[test]
+fn toy_instances_walk_in_lockstep() {
+    use crate::env::tests::{course_instance, course_params, trip_instance};
+    for inst in [course_instance(), trip_instance()] {
+        let params = if inst.is_trip() {
+            PlannerParams::trip_defaults()
+        } else {
+            course_params()
+        };
+        let mut fast = TppEnv::new(&inst, &params);
+        let mut naive = NaiveEnv::new(&inst, &params);
+        fast.reset(0);
+        naive.reset(0);
+        let (mut fa, mut na) = (Vec::new(), Vec::new());
+        loop {
+            fast.valid_actions(&mut fa);
+            naive.valid_actions(&mut na);
+            assert_eq!(fa, na);
+            let Some(&a) = fa.first() else { break };
+            for &cand in &fa {
+                assert_eq!(
+                    fast.peek_reward(cand).to_bits(),
+                    naive.peek_reward(cand).to_bits(),
+                    "candidate {cand} in {:?}",
+                    inst.catalog.name()
+                );
+            }
+            let fo = fast.step(a);
+            let no = naive.step(a);
+            assert_eq!(fo.reward.to_bits(), no.reward.to_bits());
+            assert_eq!(fo.done, no.done);
+            if fo.done {
+                break;
+            }
         }
     }
 }

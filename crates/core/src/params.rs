@@ -82,8 +82,8 @@ pub enum ShortlistMode {
     /// Shortlist on trip catalogs above `tpp_rl::DENSE_AUTO_MAX` items,
     /// full scan below — the default.
     Auto,
-    /// Always the full O(n) scan (the measured baseline, mirroring
-    /// `naive_hot_path`).
+    /// Always the full O(n) scan (the exact baseline the shortlist
+    /// approximates).
     Off,
     /// Always shortlist (requires POI geometry; course catalogs fall
     /// back to the full scan).
@@ -133,13 +133,6 @@ pub struct PlannerParams {
     /// one-step SARSA. Traces propagate a late core-course reward back to
     /// the early decision that scheduled its antecedent.
     pub lambda: f64,
-    /// Benchmark/equivalence switch (not a Table III parameter): run the
-    /// environment's pre-incremental hot path — full prefix rescans for
-    /// Eq. 6/7 and per-probe haversine legs — instead of the cached
-    /// engine. Plans, rewards, and scores are bit-identical either way
-    /// (the golden equivalence suite pins this); only the per-step work
-    /// differs. Used by `rl-planner bench` as the speedup baseline.
-    pub naive_hot_path: bool,
     /// Q-table representation policy (not a Table III parameter): see
     /// [`QReprMode`]. `Auto` keeps every seed dataset dense and
     /// bit-identical to the pre-sparse engine.
@@ -175,7 +168,6 @@ impl PlannerParams {
             start: StartPolicy::RandomPrimary,
             exploration: Self::default_exploration(),
             lambda: 0.9,
-            naive_hot_path: false,
             q_repr: QReprMode::Auto,
             shortlist: ShortlistMode::Auto,
             shortlist_radius_km: 3.0,
@@ -199,7 +191,6 @@ impl PlannerParams {
             start: StartPolicy::RandomPrimary,
             exploration: Self::default_exploration(),
             lambda: 0.9,
-            naive_hot_path: false,
             q_repr: QReprMode::Auto,
             shortlist: ShortlistMode::Auto,
             shortlist_radius_km: 3.0,
@@ -223,7 +214,6 @@ impl PlannerParams {
             start: StartPolicy::RandomPrimary,
             exploration: Self::default_exploration(),
             lambda: 0.9,
-            naive_hot_path: false,
             q_repr: QReprMode::Auto,
             shortlist: ShortlistMode::Auto,
             shortlist_radius_km: 3.0,
@@ -257,13 +247,6 @@ impl PlannerParams {
     pub fn with_delta_beta(mut self, delta: f64, beta: f64) -> Self {
         self.delta = delta;
         self.beta = beta;
-        self
-    }
-
-    /// Selects the pre-incremental (naive) environment hot path
-    /// (builder style); see [`PlannerParams::naive_hot_path`].
-    pub fn with_naive_hot_path(mut self, naive: bool) -> Self {
-        self.naive_hot_path = naive;
         self
     }
 

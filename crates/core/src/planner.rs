@@ -5,7 +5,7 @@ use crate::env::TppEnv;
 use crate::params::{PlannerParams, QReprMode, StartPolicy};
 use std::time::Instant;
 use tpp_model::{ItemId, Plan, PlanningInstance};
-use tpp_obs::{obs_event, Level};
+use tpp_obs::{obs_event, Level, Span};
 use tpp_rl::{Budget, Environment, QTable, TrainCheckpoint, TrainRng, TrainStats, VisitTable};
 
 /// A learned policy: the Q-table plus the universe it indexes.
@@ -28,8 +28,8 @@ pub struct RlPlanner;
 /// every constraint-violating action). Reward ties break by higher Q,
 /// then uniformly at random. `best` is the caller's scratch buffer for
 /// the tie set, reused across steps.
-fn select_action(
-    env: &TppEnv<'_>,
+fn select_action<E: Environment>(
+    env: &E,
     q: &QTable,
     visits: &VisitTable,
     allowed: &[usize],
@@ -66,6 +66,288 @@ fn select_action(
         .expect("non-empty");
     best.retain(|&a| visits.get(s, a) == min_visits);
     best[rng.index(best.len())]
+}
+
+/// Algorithm 1's training loop (lines 1–14) on `env`, an environment
+/// over `instance`: reward-greedy behaviour with scheduled ε
+/// exploration and on-policy SARSA(λ) updates (Eq. 9), under `budget`,
+/// with the checkpoint/resume contract of
+/// [`RlPlanner::learn_checkpointed`]. Returns the Q-table, the returns
+/// and the open `train.session` span. Production runs it on
+/// [`TppEnv`]; the tests also run it on the naive oracle engine.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn learn_on<E, C>(
+    env: &mut E,
+    instance: &PlanningInstance,
+    params: &PlannerParams,
+    seed: u64,
+    resume: Option<&TrainCheckpoint>,
+    checkpoint_every: usize,
+    budget: &Budget,
+    mut on_checkpoint: C,
+) -> Result<(QTable, TrainStats, Span), String>
+where
+    E: Environment,
+    C: FnMut(&TrainCheckpoint) -> Result<(), String>,
+{
+    let n = instance.catalog.len();
+    let (mut q, mut rng, start_episode, mut visits, mut stats) = match resume {
+        Some(ckpt) => {
+            if ckpt.q.n_states() != n || ckpt.q.n_actions() != n {
+                return Err(format!(
+                    "checkpoint Q-table is {}x{} but catalog {:?} has {n} items",
+                    ckpt.q.n_states(),
+                    ckpt.q.n_actions(),
+                    instance.catalog.name(),
+                ));
+            }
+            if ckpt.episode as usize > params.episodes {
+                return Err(format!(
+                    "checkpoint has {} completed episodes but the target is {}",
+                    ckpt.episode, params.episodes,
+                ));
+            }
+            if !ckpt.visits.is_empty()
+                && (ckpt.visits.n_states() != n || ckpt.visits.n_actions() != n)
+            {
+                return Err(format!(
+                    "checkpoint visit table is {}x{}, expected {n}x{n}",
+                    ckpt.visits.n_states(),
+                    ckpt.visits.n_actions(),
+                ));
+            }
+            let visits = if ckpt.visits.is_empty() {
+                // Mirror the checkpoint Q-table's representation so
+                // a resumed sparse run stays allocation-free.
+                if ckpt.q.is_sparse() {
+                    VisitTable::sparse(n, n)
+                } else {
+                    VisitTable::dense(n, n)
+                }
+            } else {
+                ckpt.visits.clone()
+            };
+            (
+                ckpt.q.clone(),
+                TrainRng::from_state(ckpt.rng_state),
+                ckpt.episode as usize,
+                visits,
+                ckpt.stats(),
+            )
+        }
+        None => {
+            // The representation knob: Auto keeps seed-sized
+            // catalogs dense (bit-identical to the pre-sparse
+            // engine) and goes sparse at city scale; an explicit
+            // Dense request on an oversized catalog is a typed
+            // error, not an `n²` allocation.
+            let (q, visits) = match params.q_repr {
+                QReprMode::Auto => (QTable::for_catalog(n), VisitTable::for_catalog(n)),
+                QReprMode::Sparse => (QTable::sparse(n, n), VisitTable::sparse(n, n)),
+                QReprMode::Dense => {
+                    let q = QTable::try_zeros(n, n).map_err(|e| e.to_string())?;
+                    (q, VisitTable::dense(n, n))
+                }
+            };
+            (
+                q,
+                TrainRng::seed_from_u64(seed),
+                0,
+                visits,
+                TrainStats::with_capacity(params.episodes),
+            )
+        }
+    };
+    let mut span = tpp_obs::span(Level::Info, "train.session")
+        .with("catalog", instance.catalog.name())
+        .with("episodes", params.episodes)
+        .with("seed", seed)
+        .with("resumed_at", start_episode);
+    let primaries: Vec<usize> = instance
+        .catalog
+        .items()
+        .iter()
+        .filter(|i| i.is_primary())
+        .map(|i| i.id.index())
+        .collect();
+    let mut actions = Vec::with_capacity(n);
+    let mut ties = Vec::with_capacity(n);
+    // Valid-action-set sizes are tallied locally (sizes are bounded
+    // by |I|) and flushed to the shared histogram once per session:
+    // ten seeds train in parallel, and per-step updates of shared
+    // atomics cost measurable cache-line contention.
+    let mut va_sizes = vec![0u64; n + 1];
+    // Emits a snapshot after `episode` finished, when due. Cloning
+    // the training state is the price of handing the sink an
+    // immutable snapshot while the loop keeps mutating its own.
+    let mut maybe_checkpoint = |episode: usize,
+                                q: &QTable,
+                                rng: &TrainRng,
+                                visits: &VisitTable,
+                                stats: &TrainStats|
+     -> Result<(), String> {
+        let done = episode + 1;
+        if checkpoint_every == 0 || done % checkpoint_every != 0 {
+            return Ok(());
+        }
+        on_checkpoint(&TrainCheckpoint {
+            q: q.clone(),
+            episode: done as u64,
+            sched_pos: done as u64,
+            rng_state: rng.state(),
+            visits: visits.clone(),
+            returns: stats.returns().to_vec(),
+        })
+    };
+    for episode in start_episode..params.episodes {
+        if let Some(stop) = budget.check_episode() {
+            obs_event!(
+                Level::Warn,
+                "train.budget_expired",
+                episode = episode,
+                target = params.episodes,
+                reason = stop.as_str(),
+            );
+            span.record("budget_stop", stop.as_str());
+            break;
+        }
+        let ep_started = tpp_obs::enabled(Level::Debug).then(Instant::now);
+        let explore = params.exploration.at(episode);
+        let start = match params.start {
+            StartPolicy::Fixed(id) => id.index(),
+            StartPolicy::Random => rng.index(n),
+            StartPolicy::RandomPrimary => {
+                if primaries.is_empty() {
+                    rng.index(n)
+                } else {
+                    primaries[rng.index(primaries.len())]
+                }
+            }
+        };
+        env.reset(start);
+        let mut ep_return = 0.0;
+        let mut s = env.state();
+        env.valid_actions(&mut actions);
+        va_sizes[actions.len()] += 1;
+        if actions.is_empty() {
+            stats.push(0.0);
+            obs_event!(
+                Level::Debug,
+                "train.episode",
+                episode = episode,
+                epsilon = explore,
+                ep_return = 0.0,
+                steps = 0usize,
+            );
+            maybe_checkpoint(episode, &q, &rng, &visits, &stats)?;
+            continue;
+        }
+        let mut a = select_action(env, &q, &visits, &actions, explore, &mut rng, &mut ties);
+        // Eligibility traces (SARSA(λ)): a TPP episode never repeats
+        // a state-action pair, so the trace is simply the visited
+        // pairs with geometrically decaying weights. Traces are what
+        // lets the reward a core course earns late in an episode
+        // reach the early decision that scheduled its antecedent.
+        let mut trace: Vec<(usize, usize, f64)> = Vec::with_capacity(instance.horizon());
+        let mut max_td: f64 = 0.0;
+        loop {
+            budget.note_step();
+            let out = env.step(a);
+            ep_return += out.reward;
+            visits.bump(s, a);
+            trace.push((s, a, 1.0));
+            let (done, td_error) = if out.done {
+                (true, out.reward - q.get(s, a))
+            } else {
+                env.valid_actions(&mut actions);
+                va_sizes[actions.len()] += 1;
+                if actions.is_empty() {
+                    (true, out.reward - q.get(s, a))
+                } else {
+                    let a_next =
+                        select_action(env, &q, &visits, &actions, explore, &mut rng, &mut ties);
+                    let delta =
+                        out.reward + params.gamma * q.get(out.next_state, a_next) - q.get(s, a);
+                    s = out.next_state;
+                    a = a_next;
+                    (false, delta)
+                }
+            };
+            max_td = max_td.max(td_error.abs());
+            for (ts, ta, e) in &mut trace {
+                let v = q.get(*ts, *ta);
+                q.set(*ts, *ta, v + params.alpha * td_error * *e);
+                *e *= params.gamma * params.lambda;
+            }
+            if done {
+                break;
+            }
+        }
+        stats.push(ep_return);
+        if let Some(t0) = ep_started {
+            obs_event!(
+                Level::Debug,
+                "train.episode",
+                episode = episode,
+                epsilon = explore,
+                ep_return = ep_return,
+                steps = trace.len(),
+                max_td_error = max_td,
+                max_q_delta = params.alpha * max_td,
+                duration_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
+            );
+        }
+        maybe_checkpoint(episode, &q, &rng, &visits, &stats)?;
+    }
+    let va_hist = tpp_obs::metrics().histogram("env.valid_actions");
+    for (size, &count) in va_sizes.iter().enumerate() {
+        va_hist.record_n(size as u64, count);
+    }
+    let summary = stats.summary();
+    span.record("mean_return", summary.mean);
+    span.record("p50_return", summary.p50);
+    span.record("p95_return", summary.p95);
+    Ok((q, stats, span))
+}
+
+/// Algorithm 1's recommendation walk (lines 15–24) from `env`'s current
+/// state: the reward-greedy policy with exploration off, until no valid
+/// action remains or the episode ends.
+pub(crate) fn walk_greedy<E: Environment>(env: &mut E, q: &QTable) {
+    let mut actions = Vec::with_capacity(env.n_states());
+    loop {
+        let s = env.state();
+        env.valid_actions(&mut actions);
+        if actions.is_empty() {
+            break;
+        }
+        // SARSA is on-policy: the Q-table evaluates the reward-greedy
+        // behaviour policy of Algorithm 1's training loop, so the
+        // recommendation executes that same policy with exploration
+        // off — immediate reward first (the Eq. 2 gate zeroes every
+        // constraint-violating action, which is what makes Theorem 1
+        // hold operationally), learned Q value as the tie-breaker.
+        // Reward ties are exactly where learning shows: EDA resolves
+        // them blindly, RL-Planner with the long-horizon signal
+        // (keep prerequisite chains schedulable; don't strand the
+        // itinerary away from high-value continuations). Lower index
+        // breaks exact (reward, Q) ties for determinism.
+        // total_cmp keeps the argmax panic-free when a corrupt or
+        // adversarial checkpoint smuggles a NaN into Q: the pick
+        // degrades deterministically instead of killing the worker.
+        let (_, _, best) = actions
+            .iter()
+            .map(|&a| (env.peek_reward(a), q.get(s, a), a))
+            .max_by(|x, y| {
+                x.0.total_cmp(&y.0)
+                    .then_with(|| x.1.total_cmp(&y.1))
+                    .then(y.2.cmp(&x.2))
+            })
+            .expect("actions is non-empty");
+        if env.step(best).done {
+            break;
+        }
+    }
 }
 
 impl RlPlanner {
@@ -130,237 +412,29 @@ impl RlPlanner {
         resume: Option<&TrainCheckpoint>,
         checkpoint_every: usize,
         budget: &Budget,
-        mut on_checkpoint: C,
+        on_checkpoint: C,
     ) -> Result<(LearnedPolicy, TrainStats), String>
     where
         C: FnMut(&TrainCheckpoint) -> Result<(), String>,
     {
         params.validate().expect("invalid planner parameters");
-        let n = instance.catalog.len();
-        let (mut q, mut rng, start_episode, mut visits, mut stats) = match resume {
-            Some(ckpt) => {
-                if ckpt.q.n_states() != n || ckpt.q.n_actions() != n {
-                    return Err(format!(
-                        "checkpoint Q-table is {}x{} but catalog {:?} has {n} items",
-                        ckpt.q.n_states(),
-                        ckpt.q.n_actions(),
-                        instance.catalog.name(),
-                    ));
-                }
-                if ckpt.episode as usize > params.episodes {
-                    return Err(format!(
-                        "checkpoint has {} completed episodes but the target is {}",
-                        ckpt.episode, params.episodes,
-                    ));
-                }
-                if !ckpt.visits.is_empty()
-                    && (ckpt.visits.n_states() != n || ckpt.visits.n_actions() != n)
-                {
-                    return Err(format!(
-                        "checkpoint visit table is {}x{}, expected {n}x{n}",
-                        ckpt.visits.n_states(),
-                        ckpt.visits.n_actions(),
-                    ));
-                }
-                let visits = if ckpt.visits.is_empty() {
-                    // Mirror the checkpoint Q-table's representation so
-                    // a resumed sparse run stays allocation-free.
-                    if ckpt.q.is_sparse() {
-                        VisitTable::sparse(n, n)
-                    } else {
-                        VisitTable::dense(n, n)
-                    }
-                } else {
-                    ckpt.visits.clone()
-                };
-                (
-                    ckpt.q.clone(),
-                    TrainRng::from_state(ckpt.rng_state),
-                    ckpt.episode as usize,
-                    visits,
-                    ckpt.stats(),
-                )
-            }
-            None => {
-                // The representation knob: Auto keeps seed-sized
-                // catalogs dense (bit-identical to the pre-sparse
-                // engine) and goes sparse at city scale; an explicit
-                // Dense request on an oversized catalog is a typed
-                // error, not an `n²` allocation.
-                let (q, visits) = match params.q_repr {
-                    QReprMode::Auto => (QTable::for_catalog(n), VisitTable::for_catalog(n)),
-                    QReprMode::Sparse => (QTable::sparse(n, n), VisitTable::sparse(n, n)),
-                    QReprMode::Dense => {
-                        let q = QTable::try_zeros(n, n).map_err(|e| e.to_string())?;
-                        (q, VisitTable::dense(n, n))
-                    }
-                };
-                (
-                    q,
-                    TrainRng::seed_from_u64(seed),
-                    0,
-                    visits,
-                    TrainStats::with_capacity(params.episodes),
-                )
-            }
-        };
-        let mut span = tpp_obs::span(Level::Info, "train.session")
-            .with("catalog", instance.catalog.name())
-            .with("episodes", params.episodes)
-            .with("seed", seed)
-            .with("resumed_at", start_episode);
         let mut env = TppEnv::new(instance, params);
-        let primaries: Vec<usize> = instance
-            .catalog
-            .items()
-            .iter()
-            .filter(|i| i.is_primary())
-            .map(|i| i.id.index())
-            .collect();
-        let mut actions = Vec::with_capacity(n);
-        let mut ties = Vec::with_capacity(n);
-        // Valid-action-set sizes are tallied locally (sizes are bounded
-        // by |I|) and flushed to the shared histogram once per session:
-        // ten seeds train in parallel, and per-step updates of shared
-        // atomics cost measurable cache-line contention.
-        let mut va_sizes = vec![0u64; n + 1];
-        // Emits a snapshot after `episode` finished, when due. Cloning
-        // the training state is the price of handing the sink an
-        // immutable snapshot while the loop keeps mutating its own.
-        let mut maybe_checkpoint = |episode: usize,
-                                    q: &QTable,
-                                    rng: &TrainRng,
-                                    visits: &VisitTable,
-                                    stats: &TrainStats|
-         -> Result<(), String> {
-            let done = episode + 1;
-            if checkpoint_every == 0 || done % checkpoint_every != 0 {
-                return Ok(());
-            }
-            on_checkpoint(&TrainCheckpoint {
-                q: q.clone(),
-                episode: done as u64,
-                sched_pos: done as u64,
-                rng_state: rng.state(),
-                visits: visits.clone(),
-                returns: stats.returns().to_vec(),
-            })
-        };
-        for episode in start_episode..params.episodes {
-            if let Some(stop) = budget.check_episode() {
-                obs_event!(
-                    Level::Warn,
-                    "train.budget_expired",
-                    episode = episode,
-                    target = params.episodes,
-                    reason = stop.as_str(),
-                );
-                span.record("budget_stop", stop.as_str());
-                break;
-            }
-            let ep_started = tpp_obs::enabled(Level::Debug).then(Instant::now);
-            let explore = params.exploration.at(episode);
-            let start = match params.start {
-                StartPolicy::Fixed(id) => id.index(),
-                StartPolicy::Random => rng.index(n),
-                StartPolicy::RandomPrimary => {
-                    if primaries.is_empty() {
-                        rng.index(n)
-                    } else {
-                        primaries[rng.index(primaries.len())]
-                    }
-                }
-            };
-            env.reset(start);
-            let mut ep_return = 0.0;
-            let mut s = env.state();
-            env.valid_actions(&mut actions);
-            va_sizes[actions.len()] += 1;
-            if actions.is_empty() {
-                stats.push(0.0);
-                obs_event!(
-                    Level::Debug,
-                    "train.episode",
-                    episode = episode,
-                    epsilon = explore,
-                    ep_return = 0.0,
-                    steps = 0usize,
-                );
-                maybe_checkpoint(episode, &q, &rng, &visits, &stats)?;
-                continue;
-            }
-            let mut a = select_action(&env, &q, &visits, &actions, explore, &mut rng, &mut ties);
-            // Eligibility traces (SARSA(λ)): a TPP episode never repeats
-            // a state-action pair, so the trace is simply the visited
-            // pairs with geometrically decaying weights. Traces are what
-            // lets the reward a core course earns late in an episode
-            // reach the early decision that scheduled its antecedent.
-            let mut trace: Vec<(usize, usize, f64)> = Vec::with_capacity(env.horizon());
-            let mut max_td: f64 = 0.0;
-            loop {
-                budget.note_step();
-                let out = env.step(a);
-                ep_return += out.reward;
-                visits.bump(s, a);
-                trace.push((s, a, 1.0));
-                let (done, td_error) = if out.done {
-                    (true, out.reward - q.get(s, a))
-                } else {
-                    env.valid_actions(&mut actions);
-                    va_sizes[actions.len()] += 1;
-                    if actions.is_empty() {
-                        (true, out.reward - q.get(s, a))
-                    } else {
-                        let a_next = select_action(
-                            &env, &q, &visits, &actions, explore, &mut rng, &mut ties,
-                        );
-                        let delta =
-                            out.reward + params.gamma * q.get(out.next_state, a_next) - q.get(s, a);
-                        s = out.next_state;
-                        a = a_next;
-                        (false, delta)
-                    }
-                };
-                max_td = max_td.max(td_error.abs());
-                for (ts, ta, e) in &mut trace {
-                    let v = q.get(*ts, *ta);
-                    q.set(*ts, *ta, v + params.alpha * td_error * *e);
-                    *e *= params.gamma * params.lambda;
-                }
-                if done {
-                    break;
-                }
-            }
-            stats.push(ep_return);
-            if let Some(t0) = ep_started {
-                obs_event!(
-                    Level::Debug,
-                    "train.episode",
-                    episode = episode,
-                    epsilon = explore,
-                    ep_return = ep_return,
-                    steps = trace.len(),
-                    max_td_error = max_td,
-                    max_q_delta = params.alpha * max_td,
-                    duration_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-            }
-            maybe_checkpoint(episode, &q, &rng, &visits, &stats)?;
-        }
+        let (q, stats, mut span) = learn_on(
+            &mut env,
+            instance,
+            params,
+            seed,
+            resume,
+            checkpoint_every,
+            budget,
+            on_checkpoint,
+        )?;
         let gates = env.take_gate_counts();
         let m = tpp_obs::metrics();
-        let va_hist = m.histogram("env.valid_actions");
-        for (size, &count) in va_sizes.iter().enumerate() {
-            va_hist.record_n(size as u64, count);
-        }
         m.counter("gate.checked").add(gates.checked);
         m.counter("gate.reject.credits").add(gates.credits);
         m.counter("gate.reject.theme_gap").add(gates.theme_gap);
         m.counter("gate.reject.distance").add(gates.distance);
-        let summary = stats.summary();
-        span.record("mean_return", summary.mean);
-        span.record("p50_return", summary.p50);
-        span.record("p95_return", summary.p95);
         span.record("gate_checked", gates.checked);
         span.record("gate_rejected", gates.rejected());
         Ok((
@@ -421,40 +495,7 @@ impl RlPlanner {
         for &b in banned {
             env.exclude(b);
         }
-        let mut actions = Vec::with_capacity(instance.catalog.len());
-        loop {
-            let s = env.state();
-            env.valid_actions(&mut actions);
-            if actions.is_empty() {
-                break;
-            }
-            // SARSA is on-policy: the Q-table evaluates the reward-greedy
-            // behaviour policy of Algorithm 1's training loop, so the
-            // recommendation executes that same policy with exploration
-            // off — immediate reward first (the Eq. 2 gate zeroes every
-            // constraint-violating action, which is what makes Theorem 1
-            // hold operationally), learned Q value as the tie-breaker.
-            // Reward ties are exactly where learning shows: EDA resolves
-            // them blindly, RL-Planner with the long-horizon signal
-            // (keep prerequisite chains schedulable; don't strand the
-            // itinerary away from high-value continuations). Lower index
-            // breaks exact (reward, Q) ties for determinism.
-            // total_cmp keeps the argmax panic-free when a corrupt or
-            // adversarial checkpoint smuggles a NaN into Q: the pick
-            // degrades deterministically instead of killing the worker.
-            let (_, _, best) = actions
-                .iter()
-                .map(|&a| (env.peek_reward(a), q.get(s, a), a))
-                .max_by(|x, y| {
-                    x.0.total_cmp(&y.0)
-                        .then_with(|| x.1.total_cmp(&y.1))
-                        .then(y.2.cmp(&x.2))
-                })
-                .expect("actions is non-empty");
-            if env.step(best).done {
-                break;
-            }
-        }
+        walk_greedy(&mut env, q);
         let plan = env.plan();
         span.record("plan_len", plan.len());
         plan
@@ -734,6 +775,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn city_10k_q_table_stays_sparse_and_small() {
+        // A dense 10k × 10k table is ~800 MB and is allocated when the
+        // table is built, so a short run catches a leak into the sparse
+        // path.
+        let city = tpp_datagen::city_10k(tpp_datagen::defaults::CITY_SEED);
+        let mut params = PlannerParams::trip_defaults();
+        params.episodes = 20;
+        let (policy, stats) = RlPlanner::learn(&city.instance, &params, 0);
+        assert_eq!(stats.episodes(), 20);
+        assert!(policy.q.is_sparse());
+        assert!(
+            policy.q.approx_bytes() < 64_000_000,
+            "resident Q-table is {} bytes",
+            policy.q.approx_bytes()
+        );
     }
 
     #[test]

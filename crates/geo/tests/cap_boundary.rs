@@ -4,10 +4,11 @@
 //! Catalogs at or under [`DistanceMatrix::DEFAULT_CAP`] (1024) points
 //! get the precomputed `n × n` matrix; anything larger falls back to
 //! the one-row-at-a-time [`LazyRowCache`]. The two paths must be
-//! *bit-identical* — the incremental-vs-naive equivalence suite and the
-//! serving cache both compare scores by `f64::to_bits` — and the
-//! fallback must rebuild a row at most once per origin, not once per
-//! probe. These tests pin all of that at n = 1023 / 1024 / 1025.
+//! *bit-identical* — `tpp-core`'s equivalence suite compares the
+//! planner's legs with a per-leg [`haversine_km`] oracle, and the
+//! serving cache compares scores, by `f64::to_bits` — and the fallback
+//! must rebuild a row at most once per origin, not once per probe.
+//! These tests pin all of that at n = 1023 / 1024 / 1025.
 
 use tpp_geo::{haversine_km, DistanceMatrix, GeoPoint, LazyRowCache};
 

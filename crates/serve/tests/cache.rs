@@ -2,9 +2,10 @@
 //!
 //! Drives a real `ServeEngine` end to end and asserts the cache's
 //! behavioural contract, not its internals: duplicate bursts cost one
-//! training run, the byte bound evicts, checkpoint rotation invalidates
-//! instead of serving stale policies, and a panicking leader never
-//! wedges the followers that coalesced onto it.
+//! training run, a cached answer is bit-identical to the cold one, the
+//! byte bound evicts, checkpoint rotation invalidates instead of serving
+//! stale policies, and a panicking leader never wedges the followers
+//! that coalesced onto it.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Barrier};
@@ -88,6 +89,35 @@ fn concurrent_identical_requests_train_exactly_once() {
             get(r, "score").as_f64().unwrap().to_bits(),
             score0.to_bits()
         );
+    }
+}
+
+/// A warm answer served from the cache is bit-identical to the cold
+/// answer that trained the policy and filled the cache, on each of the
+/// four benchmark datasets.
+#[test]
+fn cached_answers_are_bit_identical_to_the_cold_answer() {
+    for name in ["ds-ct", "univ2", "nyc", "paris"] {
+        let engine = ServeEngine::new(ServeConfig::default());
+        let line = format!(r#"{{"op":"plan","dataset":"{name}","episodes":50,"seed":7}}"#);
+        let cold = handle(&engine, &line);
+        assert_eq!(get(&cold, "ok"), &Json::Bool(true), "{name}: {cold:?}");
+        assert_eq!(get(&cold, "cached"), &Json::Bool(false), "{name}: {cold:?}");
+        let cold_score = get(&cold, "score").as_f64().unwrap();
+        for _ in 0..3 {
+            let warm = handle(&engine, &line);
+            assert_eq!(get(&warm, "cached"), &Json::Bool(true), "{name}: {warm:?}");
+            assert_eq!(
+                get(&warm, "plan"),
+                get(&cold, "plan"),
+                "{name}: plans diverge"
+            );
+            assert_eq!(
+                get(&warm, "score").as_f64().unwrap().to_bits(),
+                cold_score.to_bits(),
+                "{name}: scores diverge"
+            );
+        }
     }
 }
 

@@ -3,10 +3,10 @@
 # same commands with the same arguments, in the same order.
 # Usage: scripts/check.sh [--quick]
 #   --quick  stop after the tests (skips the release build, the
-#            benchmark smokes and the load storms)
+#            perfbench mirror and the load storms)
 # The BENCH_*.json reports and flight-recorder dumps go to the
 # gitignored reports/ directory, so a run never overwrites the
-# committed BENCH_*.json snapshots; CI uploads them from there.
+# committed BENCH_load.json snapshot; CI uploads them from there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,9 +23,11 @@ run() {
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 # Every test in the workspace: unit, integration, property and fuzz
-# suites, the golden equivalence suite, the store fault sweeps, the
-# serve chaos/cache/framing/TCP/tracing/self-healing suites, and the
-# real-binary daemon and load-harness smokes.
+# suites, the golden equivalence suite against the test-only naive
+# oracle, the city-10k sparse Q-table ceiling, the store fault sweeps,
+# the serve chaos/cache/framing/TCP/tracing/self-healing suites (cached
+# answers bit-identical to cold ones among them), and the real-binary
+# daemon and load-harness smokes.
 run cargo test --workspace --no-fail-fast
 if [[ $quick -eq 1 ]]; then
   echo "Quick checks passed."
@@ -35,16 +37,6 @@ run cargo build --release -p rl-planner-cli
 # perfbench's SARSA mirror must replay the planner call for call and
 # measure every per-layer metric (structure only, no timings).
 run scripts/perfbench_mirror.sh
-# Low-episode smoke of the training-throughput benchmark: the harness
-# runs end to end and both engines still agree; the speedups at this
-# episode count are noise, not a gate. Training city-10k under the
-# script's 64 MB --max-q-bytes ceiling asserts the sparse path never
-# materializes a dense n² table (~800 MB at 10k items).
-run scripts/bench.sh --episodes 50 --out "$out/BENCH_train.json"
-# Serve-throughput smoke, cold (training) vs warm (policy cache). The
-# gate is scores_match — cached answers bit-identical to uncached.
-run ./target/release/rl-planner bench --serve --requests 5 --episodes 50 \
-  --out "$out/BENCH_serve.json"
 # Open-loop TCP load smoke: mixed hot/cold/malformed/slow-client storm
 # under chaos. Exits 1 on any connection closed without a terminal
 # response, or on a daemon not accepting after the storm.
