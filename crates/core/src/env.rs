@@ -52,7 +52,8 @@ impl GateReject {
 /// metrics registry (`gate.checked`, `gate.reject.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateCounts {
-    /// Unvisited candidates examined by the gate.
+    /// Unvisited candidates examined by the gate (on the full scan, the
+    /// popcount of the unvisited set).
     pub checked: u64,
     /// Rejections by the `#cr` budget.
     pub credits: u64,
@@ -120,6 +121,15 @@ struct Shortlist<'a> {
     top_k: usize,
 }
 
+/// How [`Environment::valid_actions`] finds its candidates.
+#[derive(Debug, Clone)]
+enum Scan<'a> {
+    /// Every unvisited item, gated a word of 64 at a time.
+    Full(FullScan),
+    /// The grid shortlist around the current item, gated one at a time.
+    Shortlist(Shortlist<'a>),
+}
+
 /// The catalog's per-item columns, copied once in [`TppEnv::new`] into
 /// contiguous arrays so the gate and the reward peek read a few words
 /// per candidate instead of a whole [`tpp_model::Item`].
@@ -165,6 +175,127 @@ fn words_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
+/// Whether bit `j` of a `u64`-word bitset is set.
+#[inline]
+fn bit(words: &[u64], j: usize) -> bool {
+    words[j / 64] >> (j % 64) & 1 != 0
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], j: usize) {
+    words[j / 64] |= 1 << (j % 64);
+}
+
+#[inline]
+fn clear_bit(words: &mut [u64], j: usize) {
+    words[j / 64] &= !(1 << (j % 64));
+}
+
+/// The set bits of `word`, offset by `base`, in ascending order.
+#[inline]
+fn bits_of(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let j = base + word.trailing_zeros() as usize;
+            word &= word - 1;
+            j
+        })
+    })
+}
+
+/// The set bits of a `u64`-word bitset, in ascending order.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| bits_of(word, w * 64))
+}
+
+/// The full scan's gate state, kept current by [`TppEnv`]'s `seat` so
+/// that [`Environment::valid_actions`] gates a word of 64 candidates at
+/// a time (DESIGN §11). Shortlisted envs carry none of it: their
+/// per-step work stays proportional to the radius hits.
+#[derive(Debug, Clone)]
+struct FullScan {
+    /// Item indices by descending credits; NaN credits, which the `#cr`
+    /// gate never rejects, are left out.
+    by_credits: Vec<usize>,
+    /// How many of `by_credits` are retired this episode.
+    cursor: usize,
+    /// The items the `#cr` budget rejects, for the rest of the episode.
+    retired: Vec<u64>,
+    /// Per-topic item bitsets, one row of item words per topic; empty
+    /// unless a theme rule applies.
+    topic_items: Vec<u64>,
+    /// The items sharing a theme with the current item: the OR of the
+    /// `topic_items` rows of its topics. Empty unless a theme rule
+    /// applies.
+    clash: Vec<u64>,
+}
+
+impl FullScan {
+    fn new(tables: &ItemTables<'_>, n_topics: usize, themed: bool) -> Self {
+        let n = tables.credits.len();
+        let item_words = n.div_ceil(64);
+        let credits = &tables.credits;
+        let mut by_credits: Vec<usize> = (0..n).filter(|&j| !credits[j].is_nan()).collect();
+        by_credits.sort_unstable_by(|&a, &b| credits[b].total_cmp(&credits[a]));
+        let mut topic_items = Vec::new();
+        if themed {
+            topic_items = vec![0; n_topics * item_words];
+            for j in 0..n {
+                for t in ones(tables.topics(j)) {
+                    set_bit(&mut topic_items[t * item_words..], j);
+                }
+            }
+        }
+        FullScan {
+            by_credits,
+            cursor: 0,
+            retired: vec![0; item_words],
+            clash: vec![0; if themed { item_words } else { 0 }],
+            topic_items,
+        }
+    }
+
+    /// Un-retires every item.
+    fn restart(&mut self) {
+        self.cursor = 0;
+        self.retired.fill(0);
+    }
+
+    /// Retires, in descending-credit order, every item the `#cr` gate
+    /// rejects at `elapsed_hours`. The test is the gate's own float
+    /// expression, monotone in both terms: while `elapsed_hours` does
+    /// not fall, an item retired stays rejected, and the first item
+    /// that passes means every lower-credit item passes too.
+    fn retire(&mut self, elapsed_hours: f64, credits_admit_cap: f64, credits: &[f64]) {
+        while let Some(&k) = self.by_credits.get(self.cursor) {
+            if elapsed_hours + credits[k] > credits_admit_cap {
+                set_bit(&mut self.retired, k);
+                self.cursor += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Rebuilds `clash` for a current item with topic words `topics`.
+    fn set_clash(&mut self, topics: &[u64]) {
+        if self.clash.is_empty() {
+            return;
+        }
+        let item_words = self.clash.len();
+        self.clash.fill(0);
+        for t in ones(topics) {
+            let row = &self.topic_items[t * item_words..(t + 1) * item_words];
+            for (c, m) in self.clash.iter_mut().zip(row) {
+                *c |= m;
+            }
+        }
+    }
+}
+
 /// Index of a kind in per-kind arrays.
 #[inline]
 fn kind_slot(kind: ItemKind) -> usize {
@@ -176,9 +307,8 @@ fn kind_slot(kind: ItemKind) -> usize {
 struct GateCtx<'e> {
     elapsed_hours: f64,
     credits_admit_cap: f64,
-    /// The current item's topic words, when the no-consecutive-theme
-    /// rule applies.
-    theme: Option<&'e [u64]>,
+    /// Whether the no-consecutive-theme rule applies.
+    theme: bool,
     /// Where legs from the current item come from, with `travelled_km`
     /// and `d + 1e-9`, when the distance rule applies.
     distance: Option<(Legs<'e>, f64, f64)>,
@@ -203,15 +333,16 @@ pub struct TppEnv<'a> {
     gates: Cell<GateCounts>,
     /// Distance structure for `leg_km` (trips).
     dist: DistCache<'a>,
-    /// Grid-pruned action shortlisting (`None` = full scan).
-    shortlist: Option<Shortlist<'a>>,
+    /// Where `valid_actions` finds its candidates.
+    scan: Scan<'a>,
     /// `#cr + ε`, precomputed for the admission gate.
     credits_admit_cap: f64,
     /// `#cr − ε`, precomputed for the course termination check.
     credits_done_floor: f64,
     tables: ItemTables<'a>,
     // --- episode state ---
-    visited: Vec<bool>,
+    /// The items neither seated nor excluded, one bit per item.
+    unvisited: Vec<u64>,
     /// Incremental Eq. 6/7 prefix counters over the seated kinds.
     sim: SimTracker,
     /// `⌊pos/gap⌋` of each seated item; `usize::MAX` while unseated.
@@ -281,17 +412,32 @@ impl<'a> TppEnv<'a> {
         let words = instance.catalog.vocabulary().zero_vector().blocks().len();
         let tables = ItemTables::new(instance, &model, words);
         let missing = model.ideal().blocks().to_vec();
+        // The theme rules: the gate's, and r2's trip theme gap.
+        let themed = instance
+            .trip
+            .as_ref()
+            .is_some_and(|t| t.no_consecutive_same_theme || model.theme_gap());
+        let credits_admit_cap = instance.hard.credits + CREDIT_EPS;
+        let scan = match shortlist {
+            Some(sl) => Scan::Shortlist(sl),
+            None => {
+                let n_topics = instance.catalog.vocabulary().len();
+                let mut fs = FullScan::new(&tables, n_topics, themed);
+                fs.retire(0.0, credits_admit_cap, &tables.credits);
+                Scan::Full(fs)
+            }
+        };
         let mut env = TppEnv {
             instance,
             model,
             horizon: instance.horizon(),
             gates: Cell::new(GateCounts::default()),
             dist,
-            shortlist,
-            credits_admit_cap: instance.hard.credits + CREDIT_EPS,
+            scan,
+            credits_admit_cap,
             credits_done_floor: instance.hard.credits - CREDIT_EPS,
             tables,
-            visited: vec![false; n],
+            unvisited: vec![0; n.div_ceil(64)],
             sim,
             seated_block: vec![usize::MAX; n],
             sim_term: [0.0; 2],
@@ -302,6 +448,7 @@ impl<'a> TppEnv<'a> {
             elapsed_hours: 0.0,
             travelled_km: 0.0,
         };
+        env.fill_unvisited();
         env.refresh_step_terms();
         env
     }
@@ -320,8 +467,29 @@ impl<'a> TppEnv<'a> {
     /// visited without seating it). Call after [`Environment::reset`];
     /// used by the feedback loop to honour "not useful" feedback.
     pub fn exclude(&mut self, id: ItemId) {
-        if id.index() < self.visited.len() && id.index() != self.current {
-            self.visited[id.index()] = true;
+        let j = id.index();
+        if j < self.n_states() && j != self.current {
+            clear_bit(&mut self.unvisited, j);
+        }
+    }
+
+    /// Marks every item unvisited.
+    fn fill_unvisited(&mut self) {
+        let n = self.n_states();
+        self.unvisited.fill(!0);
+        if n % 64 != 0 {
+            self.unvisited[n / 64] = (1 << (n % 64)) - 1;
+        }
+    }
+
+    /// Whether item `j` shares a theme with the current item: a bit of
+    /// the per-step clash mask on the full scan, a topic-word
+    /// intersection on a shortlisted env.
+    #[inline]
+    fn shares_theme(&self, j: usize) -> bool {
+        match &self.scan {
+            Scan::Full(fs) if !fs.clash.is_empty() => bit(&fs.clash, j),
+            _ => words_intersect(self.tables.topics(self.current), self.tables.topics(j)),
         }
     }
 
@@ -355,15 +523,30 @@ impl<'a> TppEnv<'a> {
     fn seat(&mut self, j: usize) {
         let item = &self.instance.catalog.items()[j];
         let pos = self.items.len();
-        self.visited[j] = true;
+        clear_bit(&mut self.unvisited, j);
         self.seated_block[j] = self.model.block_of(pos);
         self.sim.push(item.kind);
         for (m, t) in self.missing.iter_mut().zip(self.tables.topics(j)) {
             *m &= !t;
         }
         self.items.push(item.id);
+        let before = self.elapsed_hours;
         self.elapsed_hours += item.credits;
         self.current = j;
+        if let Scan::Full(fs) = &mut self.scan {
+            // Retirement holds only while `elapsed_hours` does not fall;
+            // a negative or NaN credit (which `CatalogBuilder` rejects)
+            // starts it over.
+            if self.elapsed_hours < before || self.elapsed_hours.is_nan() {
+                fs.restart();
+            }
+            fs.retire(
+                self.elapsed_hours,
+                self.credits_admit_cap,
+                &self.tables.credits,
+            );
+            fs.set_clash(self.tables.topics(j));
+        }
         self.refresh_step_terms();
     }
 
@@ -381,9 +564,7 @@ impl<'a> TppEnv<'a> {
         GateCtx {
             elapsed_hours: self.elapsed_hours,
             credits_admit_cap: self.credits_admit_cap,
-            theme: trip
-                .filter(|t| t.no_consecutive_same_theme)
-                .map(|_| self.tables.topics(self.current)),
+            theme: trip.is_some_and(|t| t.no_consecutive_same_theme),
             distance: trip.and_then(|t| t.max_distance_km).map(|max_km| {
                 let legs = match &self.dist {
                     DistCache::Matrix(m) => Legs::Row(m.row(self.current)),
@@ -406,21 +587,23 @@ impl<'a> TppEnv<'a> {
         if ctx.elapsed_hours + self.tables.credits[j] > ctx.credits_admit_cap {
             return Some(GateReject::Credits);
         }
-        if let Some(cur) = ctx.theme {
-            if words_intersect(cur, self.tables.topics(j)) {
-                return Some(GateReject::ThemeGap);
-            }
+        if ctx.theme && self.shares_theme(j) {
+            return Some(GateReject::ThemeGap);
         }
-        if let Some((legs, travelled_km, limit)) = &ctx.distance {
-            let leg = match legs {
-                Legs::Row(row) => row[j],
-                Legs::Probe => self.leg_km(self.current, j),
-            };
-            if travelled_km + leg > *limit {
-                return Some(GateReject::Distance);
-            }
+        if ctx.distance.as_ref().is_some_and(|d| self.too_far(j, d)) {
+            return Some(GateReject::Distance);
         }
         None
+    }
+
+    /// The distance gate: whether the leg to `j` overruns the threshold.
+    #[inline]
+    fn too_far(&self, j: usize, (legs, travelled_km, limit): &(Legs<'_>, f64, f64)) -> bool {
+        let leg = match legs {
+            Legs::Row(row) => row[j],
+            Legs::Probe => self.leg_km(self.current, j),
+        };
+        travelled_km + leg > *limit
     }
 
     /// Gates the unvisited candidates into `buf` — the whole catalog, or
@@ -428,37 +611,52 @@ impl<'a> TppEnv<'a> {
     /// rejections.
     fn scan(&self, buf: &mut Vec<usize>, ctx: &GateCtx<'_>) {
         let mut g = self.gates.get();
-        if let Some(sl) = &self.shortlist {
-            // Grid-pruned shortlist: gate candidates nearest-first and
-            // stop once `top_k` pass, then restore ascending index
-            // order so downstream tie-breaking ("lower index wins")
-            // keeps its meaning.
-            let here = &sl.points[self.current];
-            for (_, &j) in sl.grid.within_radius(here, sl.radius_km) {
-                if self.visited[j] {
-                    continue;
+        match &self.scan {
+            Scan::Shortlist(sl) => {
+                // Grid-pruned shortlist: gate candidates nearest-first and
+                // stop once `top_k` pass, then restore ascending index
+                // order so downstream tie-breaking ("lower index wins")
+                // keeps its meaning.
+                let here = &sl.points[self.current];
+                for (_, &j) in sl.grid.within_radius(here, sl.radius_km) {
+                    if !bit(&self.unvisited, j) {
+                        continue;
+                    }
+                    g.checked += 1;
+                    match self.gate(j, ctx) {
+                        None => {
+                            buf.push(j);
+                            if buf.len() >= sl.top_k {
+                                break;
+                            }
+                        }
+                        Some(reason) => g.bump(reason),
+                    }
                 }
-                g.checked += 1;
-                match self.gate(j, ctx) {
-                    None => {
-                        buf.push(j);
-                        if buf.len() >= sl.top_k {
-                            break;
+                buf.sort_unstable();
+            }
+            Scan::Full(fs) => {
+                // A word of 64 candidates at a time, in the gate's order:
+                // the credit-retired bits, then the clash bits, are rejected
+                // by popcount, and only the survivors pay the distance test.
+                let clash = ctx.theme.then_some(fs.clash.as_slice());
+                for (w, (&unvisited, &retired)) in
+                    self.unvisited.iter().zip(&fs.retired).enumerate()
+                {
+                    g.checked += u64::from(unvisited.count_ones());
+                    g.credits += u64::from((unvisited & retired).count_ones());
+                    let mut live = unvisited & !retired;
+                    if let Some(clash) = clash {
+                        g.theme_gap += u64::from((live & clash[w]).count_ones());
+                        live &= !clash[w];
+                    }
+                    for j in bits_of(live, w * 64) {
+                        if ctx.distance.as_ref().is_some_and(|d| self.too_far(j, d)) {
+                            g.distance += 1;
+                        } else {
+                            buf.push(j);
                         }
                     }
-                    Some(reason) => g.bump(reason),
-                }
-            }
-            buf.sort_unstable();
-        } else {
-            for (j, &seen) in self.visited.iter().enumerate() {
-                if seen {
-                    continue;
-                }
-                g.checked += 1;
-                match self.gate(j, ctx) {
-                    None => buf.push(j),
-                    Some(reason) => g.bump(reason),
                 }
             }
         }
@@ -484,7 +682,10 @@ impl Environment for TppEnv<'_> {
     fn reset(&mut self, start: usize) {
         let n = self.instance.catalog.len();
         assert!(start < n, "start {start} out of range {n}");
-        self.visited.fill(false);
+        self.fill_unvisited();
+        if let Scan::Full(fs) = &mut self.scan {
+            fs.restart();
+        }
         self.seated_block.fill(usize::MAX);
         self.sim.reset();
         self.items.clear();
@@ -508,7 +709,10 @@ impl Environment for TppEnv<'_> {
     }
 
     fn step(&mut self, action: usize) -> StepOutcome {
-        debug_assert!(!self.visited[action], "action {action} already visited");
+        debug_assert!(
+            bit(&self.unvisited, action),
+            "action {action} already visited"
+        );
         let reward = self.peek_reward(action);
         if self.instance.is_trip() && !self.items.is_empty() {
             self.travelled_km += self.leg_km(self.current, action);
@@ -543,7 +747,7 @@ impl Environment for TppEnv<'_> {
         if self.model.theme_gap()
             && self.instance.is_trip()
             && !self.items.is_empty()
-            && words_intersect(t.topics(self.current), topics)
+            && self.shares_theme(action)
         {
             return 0.0; // r2's trip theme gap
         }
@@ -897,14 +1101,51 @@ pub(crate) mod tests {
         let inst = trip_instance();
         let mut params = PlannerParams::trip_defaults();
         params.shortlist = ShortlistMode::On;
-        let grid =
-            |env: &TppEnv<'_>| env.shortlist.as_ref().expect("shortlist on").grid as *const _;
+        let grid = |env: &TppEnv<'_>| match &env.scan {
+            Scan::Shortlist(sl) => sl.grid as *const _,
+            Scan::Full(_) => panic!("shortlist on"),
+        };
         let (a, b) = (TppEnv::new(&inst, &params), TppEnv::new(&inst, &params));
         assert!(std::ptr::eq(grid(&a), grid(&b)));
         assert!(std::ptr::eq(
             grid(&a),
             inst.catalog.geometry().unwrap().grid().unwrap()
         ));
+    }
+
+    #[test]
+    fn only_full_scans_carry_the_bitset_gate_state() {
+        // City scale stays flat: a shortlisted city-10k env gates ~the
+        // radius hits per step, so it keeps no credit order, no topic
+        // masks and no clash mask that `seat` would rebuild in O(n).
+        let city = tpp_datagen::city_10k(tpp_datagen::defaults::CITY_SEED);
+        let params = PlannerParams::trip_defaults();
+        assert_eq!(params.shortlist, ShortlistMode::Auto);
+        let mut env = TppEnv::new(&city.instance, &params);
+        assert!(
+            matches!(env.scan, Scan::Shortlist(_)),
+            "city-10k shortlists"
+        );
+        env.reset(0);
+        let mut acts = Vec::new();
+        env.valid_actions(&mut acts);
+        assert!(!acts.is_empty());
+        // A full-scan trip env orders every item by credits and builds
+        // the clash mask its theme rules read.
+        let inst = trip_instance();
+        let env = TppEnv::new(&inst, &params);
+        let Scan::Full(fs) = &env.scan else {
+            panic!("the Paris toy takes the full scan")
+        };
+        assert_eq!(fs.by_credits.len(), inst.catalog.len());
+        assert_eq!(fs.clash.len(), inst.catalog.len().div_ceil(64));
+        // A course catalog has no theme rule: no topic or clash masks.
+        let course = course_instance();
+        let env = TppEnv::new(&course, &course_params());
+        let Scan::Full(fs) = &env.scan else {
+            panic!("course catalogs take the full scan")
+        };
+        assert!(fs.topic_items.is_empty() && fs.clash.is_empty());
     }
 
     #[test]

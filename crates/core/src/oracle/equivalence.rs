@@ -546,3 +546,218 @@ fn toy_instances_walk_in_lockstep() {
         }
     }
 }
+
+/// A course catalog of `n` items with tied, fractional credits and a few
+/// 12-credit capstones under `#cr = 12`: the credit cursor retires
+/// items across several bitset words, ties and float sums included.
+fn mixed_credit_course(n: usize) -> PlanningInstance {
+    use tpp_model::{CatalogBuilder, HardConstraints, ItemKind, SoftConstraints, TemplateSet};
+    let names: Vec<String> = (0..12).map(|t| format!("t{t}")).collect();
+    let credits = [3.0, 4.0, 2.0, 3.0, 1.1, 2.2, 3.3, 4.0, 0.5, 3.0];
+    let mut b = CatalogBuilder::new("mixed-credits-large").topics(names.iter().cloned());
+    for i in 0..n {
+        let kind = if i % 2 == 0 {
+            ItemKind::Primary
+        } else {
+            ItemKind::Secondary
+        };
+        let cr = if i % 29 == 7 {
+            12.0
+        } else {
+            credits[i % credits.len()]
+        };
+        let topics = [names[i % 12].as_str(), names[(i * 5 + 3) % 12].as_str()];
+        b = b.course(format!("C{i}"), format!("Course {i}"), kind, cr, &topics);
+    }
+    let hard = HardConstraints {
+        credits: 12.0,
+        n_primary: 3,
+        n_secondary: 3,
+        gap: 1,
+    };
+    let soft = SoftConstraints::new(
+        tpp_model::TopicVector::ones(12),
+        TemplateSet::from_strs(&["PSPSPS", "PPPSSS"]).unwrap(),
+        &hard,
+    )
+    .unwrap();
+    PlanningInstance {
+        catalog: b.build().unwrap(),
+        hard,
+        soft,
+        trip: None,
+        default_start: Some(ItemId(0)),
+    }
+}
+
+/// Catalogs sized on the bitset word boundaries (63, 64, 65 and 128
+/// items) and a 130-item mixed-credit catalog: the unvisited and
+/// credit-retired words and the credit cursor gate exactly as the
+/// oracle does, tallies included.
+#[test]
+fn random_walks_are_bit_identical_across_word_boundaries() {
+    for n in [63, 64, 65, 128] {
+        let config = tpp_datagen::SyntheticConfig::sized(n);
+        let instance = tpp_datagen::synthetic_course_instance(&config, UNIV1_SEED);
+        let params = PlannerParams::univ1_defaults();
+        for seed in 0..3 {
+            random_walk_lockstep(&format!("synthetic-{n}"), &instance, &params, seed);
+        }
+    }
+    let mixed = mixed_credit_course(130);
+    let mut params = PlannerParams::univ1_defaults();
+    params.epsilon = 0.0;
+    for seed in 0..6 {
+        random_walk_lockstep("mixed credits", &mixed, &params, seed);
+    }
+}
+
+/// An excluded item that the `#cr` budget has already retired is
+/// neither checked nor rejected: it leaves the candidates once.
+#[test]
+fn excluding_a_credit_retired_item_is_bit_identical() {
+    let instance = mixed_credit_course(130);
+    let items = instance.catalog.items();
+    let capstone = items.iter().position(|i| i.credits == 12.0).unwrap();
+    let cheapest = items
+        .iter()
+        .map(|i| i.credits)
+        .fold(f64::INFINITY, f64::min);
+    // Retired by credits from every start but itself.
+    assert!(cheapest + 12.0 > instance.hard.credits + crate::env::CREDIT_EPS);
+    let mut params = PlannerParams::univ1_defaults();
+    params.epsilon = 0.0;
+    let banned = [ItemId(capstone as u32), ItemId(1), ItemId(64)];
+    for seed in 0..6 {
+        random_walk_lockstep_excluding(
+            "mixed credits excluding a capstone",
+            &instance,
+            &params,
+            seed,
+            &banned,
+        );
+    }
+}
+
+/// `Catalog::new` and deserialized catalogs admit negative credits
+/// (only `CatalogBuilder` rejects them), so a seat can lower `elapsed`
+/// and make retired items admissible again: the credit cursor starts
+/// over.
+#[test]
+fn negative_credits_are_bit_identical() {
+    let mut instance = mixed_credit_course(130);
+    let items = instance
+        .catalog
+        .items()
+        .iter()
+        .cloned()
+        .map(|mut item| {
+            if item.id.index() % 4 == 1 {
+                item.credits = -2.5;
+            }
+            item
+        })
+        .collect();
+    let vocabulary = instance.catalog.vocabulary().clone();
+    instance.catalog = tpp_model::Catalog::new("negative-credits", vocabulary, items).unwrap();
+    let mut params = PlannerParams::univ1_defaults();
+    params.epsilon = 0.0;
+    for seed in 0..6 {
+        random_walk_lockstep("negative credits", &instance, &params, seed);
+    }
+}
+
+/// A hand-built trip catalog of 70 themes whose POIs' themes straddle
+/// bit 64, where the topic vectors cross into their second word.
+fn straddling_theme_trip() -> PlanningInstance {
+    use tpp_model::{
+        CatalogBuilder, HardConstraints, ItemKind, SoftConstraints, TemplateSet, TopicVector,
+        TripConstraints,
+    };
+    let themes: Vec<String> = (0..70).map(|t| format!("theme{t}")).collect();
+    let mut b = CatalogBuilder::new("straddle").topics(themes.iter().cloned());
+    for i in 0..24 {
+        let kind = if i % 3 == 0 {
+            ItemKind::Primary
+        } else {
+            ItemKind::Secondary
+        };
+        // Themes 61..=67 sit on both sides of bit 64.
+        let near = themes[61 + i % 7].as_str();
+        let far = themes[61 + (i * 3 + 2) % 7].as_str();
+        let low = themes[i % 4].as_str();
+        let picked: Vec<&str> = match i % 3 {
+            0 => vec![near],
+            1 => vec![near, far],
+            _ => vec![low, far],
+        };
+        b = b.poi(
+            format!("P{i}"),
+            format!("POI {i}"),
+            kind,
+            [0.5, 1.0, 1.5][i % 3],
+            &picked,
+            48.85 + 0.004 * (i % 5) as f64,
+            2.33 + 0.005 * (i / 5) as f64,
+            1.0 + (i % 5) as f64,
+        );
+    }
+    let hard = HardConstraints {
+        credits: 6.0,
+        n_primary: 2,
+        n_secondary: 4,
+        gap: 1,
+    };
+    let soft = SoftConstraints::new(
+        TopicVector::ones(70),
+        TemplateSet::from_strs(&["PSPSSS", "PSSSPS"]).unwrap(),
+        &hard,
+    )
+    .unwrap();
+    PlanningInstance {
+        catalog: b.build().unwrap(),
+        hard,
+        soft,
+        trip: Some(TripConstraints {
+            max_distance_km: Some(2.0),
+            no_consecutive_same_theme: true,
+        }),
+        default_start: Some(ItemId(0)),
+    }
+}
+
+/// The clash mask across two topic words, with the theme rule and r2's
+/// theme gap (on for every trip instance) both reading it: from every
+/// start the gate and every peeked reward agree with the oracle, then
+/// random walks do.
+#[test]
+fn theme_clashes_across_topic_words_are_bit_identical() {
+    let instance = straddling_theme_trip();
+    assert_eq!(instance.catalog.vocabulary().len(), 70);
+    let params = PlannerParams::trip_defaults();
+    let mut fast = TppEnv::new(&instance, &params);
+    let mut naive = NaiveEnv::new(&instance, &params);
+    let (mut fa, mut na) = (Vec::new(), Vec::new());
+    let mut theme_gap = 0;
+    for start in 0..instance.catalog.len() {
+        fast.reset(start);
+        naive.reset(start);
+        fast.valid_actions(&mut fa);
+        naive.valid_actions(&mut na);
+        assert_eq!(fa, na, "start {start}: valid sets diverge");
+        let g = fast.take_gate_counts();
+        assert_eq!(g, naive.take_gate_counts(), "start {start}: tallies");
+        theme_gap += g.theme_gap;
+        for j in (0..instance.catalog.len()).filter(|&j| j != start) {
+            assert_eq!(
+                fast.peek_reward(j).to_bits(),
+                naive.peek_reward(j).to_bits(),
+                "start {start}: peek_reward({j})"
+            );
+        }
+    }
+    assert!(theme_gap > 0, "the theme gate never fired");
+    for seed in 0..6 {
+        random_walk_lockstep("straddling themes", &instance, &params, seed);
+    }
+}
