@@ -21,10 +21,11 @@
 //! newest valid generation, falling back past corrupt ones.
 //!
 //! `serve` runs the long-lived planning daemon from `tpp-serve`:
-//! newline-delimited JSON requests on stdin, a Unix socket, or TCP
-//! (`--tcp`, with admission control, per-connection timeouts and
-//! graceful drain on a `shutdown` request), one guaranteed response per
-//! request, graceful degradation on faults. `bench --load` storms a
+//! newline-delimited JSON requests on stdin, a Unix socket or TCP
+//! (`--socket` and `--tcp` share one accept loop, with admission
+//! control, per-connection timeouts and graceful drain on a `shutdown`
+//! request), one guaranteed response per request, graceful
+//! degradation on faults. `bench --load` storms a
 //! daemon open-loop with mixed hot/cold/malformed/slow-client traffic
 //! and verifies nothing closes without a terminal response.
 //!
@@ -134,12 +135,12 @@ checkpointing (train):
   --max-seconds S         wall-clock training budget (stops cleanly, saves what it has)
 serving (serve):
   --checkpoint-dir DIR    serve `recommend` from the newest valid checkpoint in DIR
-  --socket PATH           listen on a Unix socket instead of stdin/stdout
   --deadline-ms N         default per-request deadline budget
   --max-episodes N        cap per-request training episodes (default 2000)
   --capacity N            bounded request queue size; excess sheds `overloaded` (default 64)
   --workers N             worker threads (default 2)
-  --max-requests N        exit after N requests (smoke tests)
+  --max-line-bytes N      per-line byte cap; longer lines get bad_request (default 262144)
+  --max-requests N        stdio only: exit after N requests (smoke tests)
   --chaos SPEC            inject faults, e.g. 'panic@3,stall@5:200,corrupt@7,flaky@9'
   --cache-entries N       policy cache entry bound (default 32)
   --cache-mb N            policy cache byte bound in MiB (default 64)
@@ -170,12 +171,12 @@ observability (obs):
   obs metrics FILE        re-render a --metrics JSON snapshot (prom, text or json)
   obs trace FILE          reconstruct span trees from a --trace JSONL file
   --trace-id HEX          show only the trace with this 16-hex id
-serving over TCP (serve --tcp):
+serving on a socket (serve --tcp, serve --socket):
   --tcp HOST:PORT         listen on TCP (use 127.0.0.1:0 for an ephemeral port)
+  --socket PATH           listen on a Unix socket (the file is unlinked on exit)
   --max-conns N           admitted-connection limit; excess is shed (default 256)
   --read-timeout-ms N     per-read socket timeout / drain poll period (default 100)
   --idle-timeout-ms N     close connections that complete no line in N ms (default 10000)
-  --max-line-bytes N      per-line byte cap; longer lines get bad_request (default 262144)
   --accept-limit N        stop after accepting N connections (smoke tests)
   a `shutdown` request begins a graceful drain: stop accepting, answer
   every in-flight request, then exit
@@ -877,51 +878,47 @@ fn run(args: &[String], obs: &ObsOptions) -> Result<Outcome, String> {
                 max: parse_u64("batch-max")?.unwrap_or(16).max(1) as usize,
                 linger: std::time::Duration::from_micros(parse_u64("batch-wait-us")?.unwrap_or(0)),
             };
-            let server = tpp_serve::ServerConfig {
-                capacity: parse_u64("capacity")?.unwrap_or(64) as usize,
-                workers: parse_u64("workers")?.unwrap_or(2) as usize,
-                max_requests: parse_u64("max-requests")?,
-                max_line_bytes: parse_u64("max-line-bytes")?.unwrap_or(256 * 1024) as usize,
+            let capacity = parse_u64("capacity")?.unwrap_or(64) as usize;
+            let workers = parse_u64("workers")?.unwrap_or(2) as usize;
+            let max_line_bytes = parse_u64("max-line-bytes")?.unwrap_or(256 * 1024) as usize;
+            let engine = Arc::new(tpp_serve::ServeEngine::new(config));
+            let socket_config = tpp_serve::TcpConfig {
+                max_connections: parse_u64("max-conns")?.unwrap_or(256) as usize,
+                max_line_bytes,
+                read_timeout: std::time::Duration::from_millis(
+                    parse_u64("read-timeout-ms")?.unwrap_or(100),
+                ),
+                idle_timeout: std::time::Duration::from_millis(
+                    parse_u64("idle-timeout-ms")?.unwrap_or(10_000),
+                ),
+                capacity,
+                workers,
+                accept_limit: parse_u64("accept-limit")?,
                 supervisor: supervisor.clone(),
                 batch: batch.clone(),
             };
-            let engine = Arc::new(tpp_serve::ServeEngine::new(config));
-            match (flags.get("tcp"), flags.get("socket")) {
+            let socket_summary = match (flags.get("tcp"), flags.get("socket")) {
                 (Some(addr), _) => {
-                    let tcp = tpp_serve::TcpConfig {
-                        max_connections: parse_u64("max-conns")?.unwrap_or(256) as usize,
-                        max_line_bytes: server.max_line_bytes,
-                        read_timeout: std::time::Duration::from_millis(
-                            parse_u64("read-timeout-ms")?.unwrap_or(100),
-                        ),
-                        idle_timeout: std::time::Duration::from_millis(
-                            parse_u64("idle-timeout-ms")?.unwrap_or(10_000),
-                        ),
-                        capacity: server.capacity,
-                        workers: server.workers,
-                        accept_limit: parse_u64("accept-limit")?,
+                    let srv = tpp_serve::TcpServer::bind(Arc::clone(&engine), addr, socket_config)
+                        .map_err(|e| format!("tcp bind {addr} failed: {e}"))?;
+                    eprintln!("listening on tcp {}", srv.local_addr());
+                    Some(("tcp", srv.run()))
+                }
+                (None, Some(path)) => {
+                    let summary =
+                        tpp_serve::serve_unix(engine, std::path::Path::new(path), &socket_config)
+                            .map_err(|e| format!("socket serve failed: {e}"))?;
+                    Some(("socket", summary))
+                }
+                (None, None) => {
+                    let server = tpp_serve::ServerConfig {
+                        capacity,
+                        workers,
+                        max_requests: parse_u64("max-requests")?,
+                        max_line_bytes,
                         supervisor,
                         batch,
                     };
-                    let srv = tpp_serve::TcpServer::bind(Arc::clone(&engine), addr, tcp)
-                        .map_err(|e| format!("tcp bind {addr} failed: {e}"))?;
-                    eprintln!("listening on tcp {}", srv.local_addr());
-                    let summary = srv.run();
-                    eprintln!(
-                        "tcp serve done: {} accepted, {} admitted, {} shed, {} idle timeout(s), {} undeliverable, drained {}",
-                        summary.accepted,
-                        summary.admitted,
-                        summary.shed,
-                        summary.timeouts,
-                        summary.undeliverable_responses,
-                        summary.drained,
-                    );
-                }
-                (None, Some(path)) => {
-                    tpp_serve::serve_unix(engine, std::path::Path::new(path), &server, None)
-                        .map_err(|e| format!("socket serve failed: {e}"))?;
-                }
-                (None, None) => {
                     let summary = tpp_serve::serve_lines(
                         Arc::clone(&engine),
                         std::io::stdin().lock(),
@@ -936,7 +933,19 @@ fn run(args: &[String], obs: &ObsOptions) -> Result<Outcome, String> {
                         c.panics.load(std::sync::atomic::Ordering::Relaxed),
                         c.degraded.load(std::sync::atomic::Ordering::Relaxed),
                     );
+                    None
                 }
+            };
+            if let Some((transport, summary)) = socket_summary {
+                eprintln!(
+                    "{transport} serve done: {} accepted, {} admitted, {} shed, {} idle timeout(s), {} undeliverable, drained {}",
+                    summary.accepted,
+                    summary.admitted,
+                    summary.shed,
+                    summary.timeouts,
+                    summary.undeliverable_responses,
+                    summary.drained,
+                );
             }
             obs.summary();
             Ok(Outcome::Clean)

@@ -140,8 +140,17 @@ fn serve_answers_over_a_unix_socket() {
     let socket =
         std::env::temp_dir().join(format!("rl-planner-daemon-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
+    // One connection, then the accept loop ends on its own: the daemon
+    // must answer it, exit 0 and unlink its socket file.
     let mut child = bin()
-        .args(["serve", "--socket", socket.to_str().unwrap(), "--quiet"])
+        .args([
+            "serve",
+            "--socket",
+            socket.to_str().unwrap(),
+            "--accept-limit",
+            "1",
+            "--quiet",
+        ])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -167,8 +176,18 @@ fn serve_answers_over_a_unix_socket() {
     assert_eq!(v.get("ok"), Some(&tpp_obs::json::Json::Bool(true)));
     assert_eq!(v.get("id").unwrap().as_str(), Some("sock1"));
 
-    // The daemon listens forever; the test is done with it.
-    let _ = child.kill();
-    let _ = child.wait();
-    let _ = std::fs::remove_file(&socket);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll daemon") {
+            break status;
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon did not exit after its accept limit");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    };
+    assert!(status.success(), "daemon exit status {status}");
+    assert!(!socket.exists(), "socket file must be unlinked on exit");
 }

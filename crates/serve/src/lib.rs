@@ -4,8 +4,10 @@
 //! one-shot subcommands re-learn a policy per invocation; `tpp-serve`
 //! keeps datasets and checkpoints warm and answers a stream of
 //! newline-delimited JSON requests (`plan`, `recommend`, `health`,
-//! `stats`, `metrics`, `shutdown`) over stdin/stdout, a Unix socket, or
-//! TCP ([`tcp`]).
+//! `stats`, `metrics`, `shutdown`) over stdin/stdout ([`server`]), or
+//! over TCP or a Unix socket ([`tcp`]): one session reader serves
+//! every transport, and one accept loop with one shared worker pool
+//! serves both socket listeners.
 //!
 //! The contract is availability, not perfection:
 //!
@@ -53,11 +55,11 @@
 //!   ring (enabled via [`ServeConfig::flight_dir`]) is dumped as JSONL
 //!   on panic recovery, shed, deadline overrun and slow requests.
 //!
-//! * **The TCP front end never wedges**: a connection supervisor
-//!   enforces `max_connections`, admission control sheds *before*
-//!   session admission when the bounded queue saturates (immediate
-//!   `overloaded` with the request's echoed `id`, then close),
-//!   per-connection read/idle timeouts defeat slow-loris clients, a
+//! * **The socket front end never wedges** (TCP and Unix alike): a
+//!   connection supervisor enforces `max_connections`, admission
+//!   control sheds *before* session admission when the queue saturates
+//!   (immediate `overloaded` with the request's echoed `id`, then
+//!   close), per-connection read/idle timeouts defeat slow-loris, a
 //!   per-line byte cap ([`framing`]) bounds memory, and a `shutdown`
 //!   request begins a graceful drain — stop accepting, answer every
 //!   in-flight request, then exit. `health` doubles as a readiness
@@ -111,6 +113,6 @@ pub use load::{probe_health, run_load, LoadConfig, LoadProfile, LoadReport, Perc
 pub use protocol::{extract_raw_id, parse_request, JsonObj, Op, Request};
 pub use quarantine::{Quarantine, QuarantineConfig};
 pub use retry::{with_backoff, with_backoff_budgeted, BackoffPolicy};
-pub use server::{serve_lines, serve_unix, ServeSummary, ServerConfig};
-pub use tcp::{TcpConfig, TcpServer, TcpSummary};
+pub use server::{serve_lines, ServeSummary, ServerConfig};
+pub use tcp::{serve_unix, TcpConfig, TcpServer, TcpSummary};
 pub use transport::{BatchConfig, ConnTrack, Job, SharedWriter, SupervisorConfig, TransportState};

@@ -1,53 +1,51 @@
-//! Transport: bounded queue, worker pool, stdin/stdout and Unix socket.
+//! Sessions: the one framed-line reader every transport runs, and the
+//! stdin/stdout transport built on it.
 //!
-//! [`serve_lines`] is the core session loop, generic over any `Read`
-//! input and `Write` output so the chaos tests can drive it with
-//! in-memory buffers and the CLI can hand it stdin/stdout. Requests
-//! enter the **bounded** queue of a [`WorkerPool`]; when it is full the
-//! reader sheds the request immediately with an `overloaded` response
-//! instead of buffering without limit — a slow planner must surface as
-//! explicit back-pressure, not as unbounded memory growth followed by
-//! an OOM kill.
+//! `read_session` reads one session — stdio, a TCP connection or a
+//! Unix-socket connection alike — and submits each request to the
+//! transport's **bounded** [`WorkerPool`] queue. When the queue is full
+//! the reader answers the request itself (`overloaded`) instead of
+//! buffering without limit: a slow planner must surface as explicit
+//! back-pressure, not as unbounded memory growth and an OOM kill.
 //!
 //! Framing is byte-level ([`crate::framing::LineReader`]): lines may
-//! split across arbitrary read boundaries, `\r\n` is accepted, an
+//! split across arbitrary read boundaries, `\r\n` is accepted, and an
 //! over-cap or invalid-UTF-8 line gets a terminal `bad_request`
-//! (`"id": null`) and the **session survives** — one hostile line no
-//! longer tears down a shared connection.
+//! (`"id": null`) while the **session survives**.
 //!
-//! Responses from concurrent workers interleave in completion order;
-//! each response is written under one lock acquisition so lines never
-//! tear. Clients correlate via the echoed `id`.
-//!
-//! Every accepted line is stamped with a fresh root [`tpp_obs::TraceCtx`]
-//! **at ingestion** and with its enqueue time. The worker that dequeues
-//! it re-enters that context, so queue wait (`serve.queue_wait_us`
-//! histogram, `serve.queue_depth` gauge), the whole engine path, and
-//! even shed responses all share the request's `trace_id`.
+//! Responses interleave in completion order, each written whole under
+//! the session's output lock; clients correlate via the echoed `id`.
+//! Reader-side replies (sheds, framing rejects) and worker replies go
+//! through the same `transport::deliver`, so the response count and the
+//! undeliverable tally are kept alike on every transport. Every line
+//! is stamped with a root [`tpp_obs::TraceCtx`] and its enqueue time
+//! at ingestion; the worker re-enters that context, so queue wait, the
+//! engine path and even shed responses share the request's `trace_id`.
 //!
 //! A `shutdown` request begins a graceful drain: the session stops
-//! reading new lines at the next line boundary, the pool answers
-//! everything already queued, and the transport emits a traced
-//! `serve.shutdown` event with drain counts. When the queue is
-//! saturated, a `shutdown` line that would have been shed is handled
-//! inline instead — an overloaded daemon must still be drainable
+//! reading at the next line boundary and the pool answers everything
+//! already queued. A `shutdown` the full queue would shed is handled
+//! inline — an overloaded daemon must still be drainable
 //! ([`crate::transport`] makes that call for every transport).
 //!
-//! The TCP transport ([`crate::tcp`]) reuses the same pool, framing and
-//! drain machinery with one shared pool across all connections.
+//! [`serve_lines`] is the stdio transport: one session over any `Read`
+//! input and `Write` output, so tests can drive it with in-memory
+//! buffers and the CLI can hand it stdin/stdout. The socket transports
+//! ([`crate::tcp`]) run one session per accepted connection.
 
 use crate::engine::ServeEngine;
 use crate::framing::{FramedLine, LineReader};
 use crate::transport::{
-    answer_unqueued, write_response, BatchConfig, Job, SharedWriter, SupervisorConfig, WorkerPool,
+    answer_unqueued, deliver, BatchConfig, ConnTrack, Job, SharedWriter, SupervisorConfig,
+    WorkerPool,
 };
 use std::io::Write;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tpp_obs::{obs_event, Level, TraceCtx};
 
-/// Transport configuration.
+/// Stdio transport configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Queue capacity; requests beyond it are shed as `overloaded`.
@@ -96,22 +94,114 @@ pub struct ServeSummary {
     pub drained: bool,
 }
 
-/// Emits the traced `serve.shutdown` event every transport ends with.
-pub(crate) fn emit_shutdown(engine: &ServeEngine, transport: &str, received: u64, answered: u64) {
-    let t = &engine.transport;
-    obs_event!(
-        Level::Info,
-        "serve.shutdown",
-        transport = transport,
-        drained = t.draining(),
-        received = received,
-        answered = answered,
-        drained_in_flight = t.drained_in_flight.load(Ordering::Relaxed),
-        conns_accepted = t.conns_accepted.load(Ordering::Relaxed),
-        conns_shed = t.conns_shed.load(Ordering::Relaxed),
-        conn_timeouts = t.conn_timeouts.load(Ordering::Relaxed),
-        undeliverable_responses = t.undeliverable_responses.load(Ordering::Relaxed),
-    );
+/// How a session reads: the per-line byte cap, the idle deadline
+/// (sockets) and the request cap (stdio).
+pub(crate) struct SessionLimits {
+    pub max_line_bytes: usize,
+    pub idle_timeout: Option<Duration>,
+    pub max_requests: Option<u64>,
+}
+
+/// How a session's reader ended. Requests and responses are counted
+/// on the session's [`ConnTrack`].
+#[derive(Default)]
+pub(crate) struct SessionEnd {
+    /// Requests shed because the pool did not take them.
+    pub overloaded: u64,
+    /// Lines rejected by framing (over-cap or invalid UTF-8).
+    pub bad_lines: u64,
+    /// The idle deadline closed the session.
+    pub timed_out: bool,
+}
+
+/// Reads one session's framed lines until EOF, a read error, a drain,
+/// the idle deadline or the request cap, and gives every complete
+/// line exactly one terminal response: queued into `pool`, or answered
+/// here when the pool does not take it or framing rejects the line.
+/// Queued jobs hold clones of `out`, so the session's output stays
+/// open until their responses are written.
+pub(crate) fn read_session<R: std::io::Read>(
+    engine: &ServeEngine,
+    pool: &WorkerPool,
+    input: R,
+    out: &SharedWriter,
+    track: &Arc<ConnTrack>,
+    limits: &SessionLimits,
+) -> SessionEnd {
+    let mut end = SessionEnd::default();
+    let mut reader = LineReader::new(input, limits.max_line_bytes);
+    let mut last_line = Instant::now();
+    while !engine.transport.draining()
+        && !limits
+            .max_requests
+            .is_some_and(|max| track.requests.load(Ordering::Relaxed) >= max)
+    {
+        let deadline = limits.idle_timeout.map(|idle| last_line + idle);
+        let reject = match reader.next_line_by(deadline) {
+            FramedLine::Line(line) => {
+                last_line = Instant::now();
+                if line.trim().is_empty() {
+                    continue;
+                }
+                track.requests.fetch_add(1, Ordering::Relaxed);
+                let job = Job {
+                    line,
+                    trace: TraceCtx::root(),
+                    enqueued: Instant::now(),
+                    out: Arc::clone(out),
+                    track: Arc::clone(track),
+                };
+                if let Err(job) = pool.try_submit(engine, job) {
+                    // Answer under the request's own trace so the
+                    // `serve.shed` event and flight dump correlate
+                    // with this line.
+                    let _trace = tpp_obs::trace::enter(job.trace);
+                    let (response, shed) = answer_unqueued(engine, &job.line);
+                    end.overloaded += u64::from(shed);
+                    deliver(engine, out, track, &response);
+                }
+                continue;
+            }
+            FramedLine::Overlong => {
+                engine
+                    .transport
+                    .overlong_lines
+                    .fetch_add(1, Ordering::Relaxed);
+                tpp_obs::metrics().counter("serve.overlong_line").inc();
+                format!("line exceeds {} byte cap", limits.max_line_bytes)
+            }
+            FramedLine::InvalidUtf8 => "line is not valid utf-8".to_string(),
+            // Read timeouts double as the drain poll; only a blown idle
+            // deadline is fatal.
+            FramedLine::TimedOut => {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    end.timed_out = true;
+                    engine
+                        .transport
+                        .conn_timeouts
+                        .fetch_add(1, Ordering::Relaxed);
+                    tpp_obs::metrics().counter("serve.conn_timeout").inc();
+                    obs_event!(
+                        Level::Info,
+                        "serve.conn_timeout",
+                        idle_ms = last_line.elapsed().as_millis() as u64,
+                    );
+                    break;
+                }
+                continue;
+            }
+            FramedLine::Eof => break,
+            FramedLine::Err(e) => {
+                obs_event!(Level::Warn, "serve.read_error", error = e.to_string());
+                break;
+            }
+        };
+        last_line = Instant::now();
+        track.requests.fetch_add(1, Ordering::Relaxed);
+        end.bad_lines += 1;
+        deliver(engine, out, track, &engine.framing_error_response(&reject));
+    }
+    end
 }
 
 /// Serves newline-delimited requests from `input` to `output` until EOF
@@ -127,179 +217,50 @@ where
     R: std::io::Read,
     W: Write + Send + 'static,
 {
-    let capacity = config.capacity.max(1);
-    engine.transport.set_limits(0, capacity as u64);
-    let output: SharedWriter = Arc::new(Mutex::new(output));
     let pool = WorkerPool::spawn_with(
         Arc::clone(&engine),
         config.workers,
-        capacity,
+        config.capacity,
         config.supervisor.clone(),
         config.batch.clone(),
     );
-
-    let mut received = 0u64;
-    let mut overloaded = 0u64;
-    let mut bad_lines = 0u64;
-    let mut reader = LineReader::new(input, config.max_line_bytes);
-    loop {
-        if engine.transport.draining() {
-            break;
-        }
-        match reader.next_line() {
-            FramedLine::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                received += 1;
-                let job = Job {
-                    line,
-                    trace: TraceCtx::root(),
-                    enqueued: Instant::now(),
-                    out: Arc::clone(&output),
-                    track: None,
-                };
-                if let Err(job) = pool.try_submit(&engine, job) {
-                    // Shed under the request's own trace so the
-                    // `serve.shed` event and flight dump correlate
-                    // with this line.
-                    let _trace = tpp_obs::trace::enter(job.trace);
-                    let (response, shed) = answer_unqueued(&engine, &job.line);
-                    overloaded += u64::from(shed);
-                    write_response(&output, &response);
-                }
-            }
-            FramedLine::Overlong => {
-                received += 1;
-                bad_lines += 1;
-                engine
-                    .transport
-                    .overlong_lines
-                    .fetch_add(1, Ordering::Relaxed);
-                tpp_obs::metrics().counter("serve.overlong_line").inc();
-                let response = engine.framing_error_response(&format!(
-                    "line exceeds {} byte cap",
-                    config.max_line_bytes
-                ));
-                write_response(&output, &response);
-            }
-            FramedLine::InvalidUtf8 => {
-                received += 1;
-                bad_lines += 1;
-                let response = engine.framing_error_response("line is not valid utf-8");
-                write_response(&output, &response);
-            }
-            // A generic reader with a timeout just polls the drain flag.
-            FramedLine::TimedOut => continue,
-            FramedLine::Eof => break,
-            FramedLine::Err(e) => {
-                obs_event!(Level::Warn, "serve.read_error", error = e.to_string());
-                break;
-            }
-        }
-        if config.max_requests.is_some_and(|max| received >= max) {
-            break;
-        }
-    }
-
+    let out: SharedWriter = Arc::new(Mutex::new(output));
+    let track = Arc::new(ConnTrack::default());
+    let limits = SessionLimits {
+        max_line_bytes: config.max_line_bytes,
+        idle_timeout: None,
+        max_requests: config.max_requests,
+    };
+    let end = read_session(&engine, &pool, input, &out, &track, &limits);
     pool.shutdown();
     // Read after the pool drains: a shutdown job answered during the
     // drain still counts as a drained session.
     let drained = engine.transport.draining();
+    let received = track.requests.load(Ordering::Relaxed);
     obs_event!(
         Level::Info,
         "serve.session_done",
         received = received,
-        overloaded = overloaded,
-        bad_lines = bad_lines,
+        overloaded = end.overloaded,
+        bad_lines = end.bad_lines,
         drained = drained,
     );
     ServeSummary {
         received,
-        answered: received,
-        overloaded,
-        bad_lines,
+        answered: track.responses.load(Ordering::Relaxed),
+        overloaded: end.overloaded,
+        bad_lines: end.bad_lines,
         drained,
     }
-}
-
-/// Poll interval for nonblocking accept loops — the latency bound on
-/// noticing a drain request.
-pub(crate) const ACCEPT_POLL: std::time::Duration = std::time::Duration::from_millis(5);
-
-/// Serves connections on a Unix domain socket at `path`, one session
-/// per connection (each with its own queue and workers).
-///
-/// `accept_limit` bounds how many connections are accepted before the
-/// listener stops (`None` = forever); tests use it to terminate. A
-/// `shutdown` request on any session also ends the listener: the
-/// accept loop polls the drain flag. On clean exit the socket file is
-/// **unlinked** — a stale socket no longer lingers until the next bind
-/// — and a traced `serve.shutdown` event reports the drain counts.
-pub fn serve_unix(
-    engine: Arc<ServeEngine>,
-    path: &std::path::Path,
-    config: &ServerConfig,
-    accept_limit: Option<usize>,
-) -> std::io::Result<()> {
-    // A stale socket file from a previous unclean run would fail the
-    // bind (clean runs now unlink it on exit; crashes still leave one).
-    let _ = std::fs::remove_file(path);
-    let listener = std::os::unix::net::UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    obs_event!(
-        Level::Info,
-        "serve.listening",
-        socket = path.display().to_string(),
-    );
-    let mut sessions = Vec::new();
-    let mut accepted = 0usize;
-    loop {
-        if engine.transport.draining() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                accepted += 1;
-                engine
-                    .transport
-                    .conns_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                stream.set_nonblocking(false)?;
-                let reader = stream.try_clone()?;
-                let engine = Arc::clone(&engine);
-                let config = config.clone();
-                sessions.push(std::thread::spawn(move || {
-                    serve_lines(engine, reader, stream, &config);
-                }));
-                if accept_limit.is_some_and(|limit| accepted >= limit) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                obs_event!(Level::Warn, "serve.accept_error", error = e.to_string());
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    drop(listener);
-    for s in sessions {
-        let _ = s.join();
-    }
-    // Clean shutdown leaves no socket artifact behind.
-    let _ = std::fs::remove_file(path);
-    emit_shutdown(&engine, "unix", accepted as u64, accepted as u64);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::ServeConfig;
+    use crate::tcp::{serve_unix, TcpConfig};
     use std::io::BufRead;
+    use std::os::unix::net::UnixStream;
     use tpp_obs::json::{parse, Json};
 
     fn run(
@@ -446,6 +407,37 @@ mod tests {
             .any(|r| r.get("id").and_then(Json::as_str) == Some("ok")));
     }
 
+    /// Shed and framing-reject replies are written by the reader, not a
+    /// worker; a failed write there is still an undeliverable response.
+    #[test]
+    fn reader_side_write_failures_are_counted() {
+        struct Gone;
+        impl Write for Gone {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        let engine = Arc::new(ServeEngine::new(ServeConfig::default()));
+        let server = ServerConfig {
+            max_line_bytes: 128,
+            ..ServerConfig::default()
+        };
+        let input = format!("{}\n", "x".repeat(300));
+        let summary = serve_lines(Arc::clone(&engine), input.as_bytes(), Gone, &server);
+        assert_eq!(summary.bad_lines, 1);
+        let undeliverable = engine
+            .transport
+            .undeliverable_responses
+            .load(Ordering::Relaxed);
+        assert!(
+            undeliverable >= 1,
+            "undeliverable_responses {undeliverable}"
+        );
+    }
+
     #[test]
     fn crlf_terminated_requests_parse() {
         let input = "{\"op\":\"health\",\"id\":\"crlf\"}\r\n";
@@ -537,16 +529,66 @@ mod tests {
         );
     }
 
+    fn connect_unix(path: &std::path::Path) -> UnixStream {
+        for _ in 0..100 {
+            if let Ok(s) = UnixStream::connect(path) {
+                return s;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("daemon socket never came up");
+    }
+
+    fn request_unix(stream: &UnixStream, line: &str) -> Json {
+        writeln!(&*stream, "{line}").unwrap();
+        let mut response = String::new();
+        std::io::BufReader::new(stream)
+            .read_line(&mut response)
+            .unwrap();
+        parse(response.trim()).unwrap()
+    }
+
+    /// Unix connections join one engine-wide pool: a second session
+    /// adds a connection, not a second set of workers.
+    #[test]
+    fn unix_sessions_share_one_worker_pool() {
+        let path =
+            std::env::temp_dir().join(format!("tpp-serve-shared-{}.sock", std::process::id()));
+        let engine = Arc::new(ServeEngine::new(ServeConfig::default()));
+        let listener = {
+            let engine = Arc::clone(&engine);
+            let path = path.clone();
+            std::thread::spawn(move || serve_unix(engine, &path, &TcpConfig::default()))
+        };
+        let first = connect_unix(&path);
+        let health = request_unix(&first, "{\"op\":\"health\",\"id\":\"one\"}");
+        assert_eq!(health.get("ok"), Some(&Json::Bool(true)));
+        let second = connect_unix(&path);
+        let stats = request_unix(&second, "{\"op\":\"stats\",\"id\":\"two\"}");
+        let field = |key: &str| stats.get(key).and_then(Json::as_f64);
+        assert_eq!(
+            field("workers_alive"),
+            field("workers_configured"),
+            "{stats:?}"
+        );
+        assert_eq!(field("connections"), Some(2.0), "{stats:?}");
+        request_unix(&second, "{\"op\":\"shutdown\"}");
+        listener.join().unwrap().unwrap();
+        assert!(!path.exists());
+    }
+
     #[test]
     fn unix_socket_round_trip_and_cleanup() {
         let path = std::env::temp_dir().join(format!("tpp-serve-{}.sock", std::process::id()));
         let engine = Arc::new(ServeEngine::new(ServeConfig::default()));
-        let server = ServerConfig::default();
+        let server = TcpConfig {
+            accept_limit: Some(1),
+            ..TcpConfig::default()
+        };
         let listener = {
             let engine = Arc::clone(&engine);
             let path = path.clone();
-            let server = server.clone();
-            std::thread::spawn(move || serve_unix(engine, &path, &server, Some(1)))
+            std::thread::spawn(move || serve_unix(engine, &path, &server))
         };
         // Wait for the socket to appear.
         let mut stream = None;

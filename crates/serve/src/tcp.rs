@@ -1,8 +1,11 @@
-//! TCP fleet serving: a front end that never dies and never wedges.
+//! Socket serving: one accept loop for TCP and Unix-socket listeners,
+//! built as a front end that never dies and never wedges.
 //!
-//! [`TcpServer`] wraps a `TcpListener` accept loop around the same
-//! engine, framing and worker pool the stdio transport uses, with the
-//! properties a fleet needs from a daemon it load-balances over:
+//! [`TcpServer`] (TCP) and [`serve_unix`] (a Unix domain socket) run
+//! the same accept loop around the same engine, session reader
+//! ([`crate::server`]) and one worker pool shared by every connection,
+//! with the properties a fleet needs from a daemon it load-balances
+//! over:
 //!
 //! * **Bounded everything.** At most [`TcpConfig::max_connections`]
 //!   admitted sessions, one shared bounded queue of
@@ -23,17 +26,16 @@
 //! * **Graceful drain.** A `shutdown` request (on any connection, even
 //!   a shed one) flips the engine-wide drain flag: the listener stops
 //!   accepting, every reader stops at its next line boundary, the pool
-//!   answers everything queued, and only then does [`TcpServer::run`]
+//!   answers everything queued, and only then does the accept loop
 //!   return — emitting a traced `serve.shutdown` event with the drain
-//!   counts. In-flight requests complete; new connects are refused.
+//!   counts. In-flight requests complete; new connects are refused. A
+//!   Unix listener also unlinks its socket file.
 //! * **One terminal response per request.** Jobs carry the connection's
-//!   shared writer ([`crate::transport::SharedWriter`]), so a response
-//!   outlives its reader thread; the socket closes only after the last
-//!   pending response for it is written. `undeliverable_responses`
-//!   counts genuine delivery failures (the peer vanished first) and
-//!   stays zero under well-behaved clients; the load harness
-//!   ([`crate::load`]) asserts the client-observed invariant — no
-//!   complete request closed without a terminal response — outside.
+//!   shared writer ([`crate::transport::SharedWriter`]), so the socket
+//!   closes only after its last pending response is written.
+//!   `undeliverable_responses` counts genuine delivery failures (the
+//!   peer vanished first); the load harness ([`crate::load`]) asserts
+//!   from outside that no complete request closes without a response.
 //!
 //! Every connection event is traced and counted: `serve.conn_accept`,
 //! `serve.conn_shed`, `serve.conn_timeout`, `serve.conn_closed`, the
@@ -41,19 +43,24 @@
 
 use crate::engine::ServeEngine;
 use crate::framing::{FramedLine, LineReader};
-use crate::server::{emit_shutdown, ACCEPT_POLL};
+use crate::server::{read_session, SessionLimits};
 use crate::transport::{
-    answer_unqueued, write_response, BatchConfig, ConnTrack, Job, SharedWriter, SupervisorConfig,
-    WorkerPool,
+    answer_unqueued, BatchConfig, ConnTrack, SharedWriter, SupervisorConfig, WorkerPool,
 };
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tpp_obs::{obs_event, Level, TraceCtx};
 
-/// TCP transport configuration.
+/// Poll interval of the nonblocking accept loop — the latency bound on
+/// noticing a drain request.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Socket transport configuration, for TCP and Unix listeners alike.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Admitted-connection limit; connections beyond it are shed at
@@ -98,7 +105,7 @@ impl Default for TcpConfig {
     }
 }
 
-/// What a TCP serving run did, for exit summaries and assertions.
+/// What a socket serving run did, for exit summaries and assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpSummary {
     /// Connections accepted by the listener (admitted + shed).
@@ -136,16 +143,6 @@ impl TcpServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        engine
-            .transport
-            .set_limits(config.max_connections as u64, config.capacity.max(1) as u64);
-        obs_event!(
-            Level::Info,
-            "serve.listening",
-            tcp = addr.to_string(),
-            max_connections = config.max_connections as u64,
-            capacity = config.capacity as u64,
-        );
         Ok(TcpServer {
             engine,
             listener,
@@ -166,74 +163,165 @@ impl TcpServer {
         let TcpServer {
             engine,
             listener,
-            addr: _,
+            addr,
             config,
         } = self;
-        let pool = Arc::new(WorkerPool::spawn_with(
-            Arc::clone(&engine),
-            config.workers,
-            config.capacity.max(1),
-            config.supervisor.clone(),
-            config.batch.clone(),
-        ));
-        // Bounds concurrent shed handlers: past it, connections get an
-        // unread `overloaded` (null id) so even a shed stampede cannot
-        // grow threads without limit.
-        let active_sheds = Arc::new(AtomicI64::new(0));
-        let shed_bound = (config.max_connections.max(64)) as i64;
+        accept_loop(&engine, &config, "tcp", addr.to_string(), move || {
+            let (stream, peer) = listener.accept()?;
+            Ok((stream, peer.to_string()))
+        })
+    }
+}
 
-        let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut accepted = 0u64;
-        let mut admitted = 0u64;
-        loop {
-            if engine.transport.draining() {
-                break;
-            }
-            match listener.accept() {
+/// Serves connections on a Unix domain socket at `path` through the
+/// same accept loop as [`TcpServer::run`]: one shared worker pool, the
+/// admission gate and shed handler, read and idle timeouts, the
+/// `connections` gauge and the drain. `config.accept_limit` bounds how
+/// many connections are accepted (`None` = until drained). On exit the
+/// socket file is **unlinked** — a stale socket no longer lingers until
+/// the next bind.
+pub fn serve_unix(
+    engine: Arc<ServeEngine>,
+    path: &std::path::Path,
+    config: &TcpConfig,
+) -> std::io::Result<TcpSummary> {
+    // A stale socket file from a previous unclean run would fail the
+    // bind (clean runs unlink it on exit; crashes still leave one).
+    let _ = std::fs::remove_file(path);
+    let listener = UnixListener::bind(path)?;
+    listener.set_nonblocking(true)?;
+    let addr = path.display().to_string();
+    let summary = accept_loop(&engine, config, "unix", addr, move || {
+        let (stream, peer) = listener.accept()?;
+        Ok((stream, format!("{peer:?}")))
+    });
+    let _ = std::fs::remove_file(path);
+    Ok(summary)
+}
+
+/// An accepted connection, whichever its socket family.
+trait Conn: Read + Write + Send + Sized + 'static {
+    /// Blocking reads, each bounded by `timeout` (TCP also turns off
+    /// Nagle's algorithm, so one-line responses leave at once).
+    fn blocking_reads(&self, timeout: Duration) -> std::io::Result<()>;
+    /// A second handle on the same socket, for the reply side.
+    fn dup(&self) -> std::io::Result<Self>;
+    /// Shuts down both directions.
+    fn close(&self);
+}
+
+impl Conn for TcpStream {
+    fn blocking_reads(&self, timeout: Duration) -> std::io::Result<()> {
+        self.set_nonblocking(false)?;
+        let _ = self.set_nodelay(true);
+        self.set_read_timeout(Some(timeout))
+    }
+    fn dup(&self) -> std::io::Result<TcpStream> {
+        self.try_clone()
+    }
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+impl Conn for UnixStream {
+    fn blocking_reads(&self, timeout: Duration) -> std::io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(timeout))
+    }
+    fn dup(&self) -> std::io::Result<UnixStream> {
+        self.try_clone()
+    }
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+/// The accept loop every socket listener runs: admits each connection
+/// that `accept` yields to a session over one shared pool, or sheds it
+/// at the gate, until a drain (or the accept limit); then answers every
+/// in-flight request and emits `serve.shutdown`. `accept` owns the
+/// listener at `addr`, so dropping it refuses new connects.
+fn accept_loop<C: Conn>(
+    engine: &Arc<ServeEngine>,
+    config: &TcpConfig,
+    transport: &str,
+    addr: String,
+    mut accept: impl FnMut() -> std::io::Result<(C, String)>,
+) -> TcpSummary {
+    obs_event!(
+        Level::Info,
+        "serve.listening",
+        transport = transport,
+        addr = addr,
+        max_connections = config.max_connections as u64,
+        capacity = config.capacity as u64,
+    );
+    let t = &engine.transport;
+    t.max_connections
+        .store(config.max_connections as u64, Ordering::Relaxed);
+    let pool = WorkerPool::spawn_with(
+        Arc::clone(engine),
+        config.workers,
+        config.capacity,
+        config.supervisor.clone(),
+        config.batch.clone(),
+    );
+    // Bounds concurrent shed handlers: past it, connections get an
+    // unread `overloaded` (null id) so even a shed stampede cannot
+    // grow threads without limit.
+    let active_sheds = AtomicI64::new(0);
+    let shed_bound = (config.max_connections.max(64)) as i64;
+    let (mut accepted, mut admitted) = (0u64, 0u64);
+    // The scope joins every session and shed handler before the pool
+    // drains. A panic escaping the engine on a reader thread (a chaos
+    // worker-kill on a request answered inline) ends that connection,
+    // never the loop.
+    std::thread::scope(|scope| {
+        let (pool, active_sheds) = (&pool, &active_sheds);
+        while !t.draining() {
+            match accept() {
                 Ok((stream, peer)) => {
                     accepted += 1;
-                    engine
-                        .transport
-                        .conns_accepted
-                        .fetch_add(1, Ordering::Relaxed);
+                    t.conns_accepted.fetch_add(1, Ordering::Relaxed);
                     tpp_obs::metrics().counter("serve.conn_accept").inc();
-                    if engine.transport.saturated() {
-                        engine.transport.conns_shed.fetch_add(1, Ordering::Relaxed);
+                    // A nonblocking listener may hand out nonblocking
+                    // sockets; both readers below need timed blocking reads.
+                    if let Err(e) = stream.blocking_reads(config.read_timeout) {
+                        obs_event!(Level::Warn, "serve.conn_error", error = e.to_string());
+                    } else if t.saturated() {
+                        t.conns_shed.fetch_add(1, Ordering::Relaxed);
                         tpp_obs::metrics().counter("serve.conn_shed").inc();
                         obs_event!(
                             Level::Info,
                             "serve.conn_shed",
-                            peer = peer.to_string(),
-                            connections = engine.transport.connections.load(Ordering::Relaxed),
-                            queue_depth = engine.transport.queue_depth.load(Ordering::Relaxed),
+                            peer = peer,
+                            connections = t.connections.load(Ordering::Relaxed),
+                            queue_depth = t.queue_depth.load(Ordering::Relaxed),
                         );
-                        let engine = Arc::clone(&engine);
-                        let config = config.clone();
-                        let active = Arc::clone(&active_sheds);
-                        let unread = active.fetch_add(1, Ordering::Relaxed) >= shed_bound;
-                        std::thread::spawn(move || {
-                            shed_connection(&engine, stream, &config, unread);
-                            active.fetch_sub(1, Ordering::Relaxed);
+                        let unread = active_sheds.fetch_add(1, Ordering::Relaxed) >= shed_bound;
+                        scope.spawn(move || {
+                            let _ = catch_unwind(AssertUnwindSafe(|| {
+                                shed_connection(engine, stream, config, unread)
+                            }));
+                            active_sheds.fetch_sub(1, Ordering::Relaxed);
                         });
                     } else {
                         admitted += 1;
-                        let conns =
-                            engine.transport.connections.fetch_add(1, Ordering::Relaxed) + 1;
+                        let conns = t.connections.fetch_add(1, Ordering::Relaxed) + 1;
                         tpp_obs::metrics()
                             .gauge("serve.connections")
                             .set(conns as f64);
-                        obs_event!(Level::Debug, "serve.conn_accept", peer = peer.to_string());
-                        let engine = Arc::clone(&engine);
-                        let pool = Arc::clone(&pool);
-                        let config = config.clone();
-                        sessions.push(std::thread::spawn(move || {
-                            conn_session(&engine, &pool, stream, &config);
-                            let conns =
-                                engine.transport.connections.fetch_sub(1, Ordering::Relaxed) - 1;
+                        obs_event!(Level::Debug, "serve.conn_accept", peer = peer);
+                        scope.spawn(move || {
+                            let _ = catch_unwind(AssertUnwindSafe(|| {
+                                conn_session(engine, pool, stream, config)
+                            }));
+                            let conns = t.connections.fetch_sub(1, Ordering::Relaxed) - 1;
                             tpp_obs::metrics()
                                 .gauge("serve.connections")
                                 .set(conns as f64);
-                        }));
+                        });
                     }
                     if config.accept_limit.is_some_and(|limit| accepted >= limit) {
                         break;
@@ -241,11 +329,6 @@ impl TcpServer {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
-                    // Reap finished sessions so a long-lived daemon's
-                    // handle list stays proportional to live sessions.
-                    if sessions.len() > 64 {
-                        sessions.retain(|h| !h.is_finished());
-                    }
                 }
                 Err(e) => {
                     obs_event!(Level::Warn, "serve.accept_error", error = e.to_string());
@@ -254,158 +337,67 @@ impl TcpServer {
             }
         }
         // Stop accepting: new connects are refused from here on.
-        drop(listener);
-        for s in sessions {
-            let _ = s.join();
-        }
-        // Answer everything still queued, then let the workers exit.
-        match Arc::try_unwrap(pool) {
-            Ok(pool) => pool.shutdown(),
-            Err(_) => unreachable!("all session threads joined"),
-        }
-        let t = &engine.transport;
-        let summary = TcpSummary {
-            accepted,
-            admitted,
-            shed: t.conns_shed.load(Ordering::Relaxed),
-            timeouts: t.conn_timeouts.load(Ordering::Relaxed),
-            undeliverable_responses: t.undeliverable_responses.load(Ordering::Relaxed),
-            drained: t.draining(),
-        };
-        emit_shutdown(&engine, "tcp", accepted, admitted);
-        summary
+        drop(accept);
+    });
+    // Answer everything still queued, then let the workers exit.
+    pool.shutdown();
+    obs_event!(
+        Level::Info,
+        "serve.shutdown",
+        transport = transport,
+        drained = t.draining(),
+        received = accepted,
+        answered = admitted,
+        drained_in_flight = t.drained_in_flight.load(Ordering::Relaxed),
+        conns_accepted = t.conns_accepted.load(Ordering::Relaxed),
+        conns_shed = t.conns_shed.load(Ordering::Relaxed),
+        conn_timeouts = t.conn_timeouts.load(Ordering::Relaxed),
+        undeliverable_responses = t.undeliverable_responses.load(Ordering::Relaxed),
+    );
+    TcpSummary {
+        accepted,
+        admitted,
+        shed: t.conns_shed.load(Ordering::Relaxed),
+        timeouts: t.conn_timeouts.load(Ordering::Relaxed),
+        undeliverable_responses: t.undeliverable_responses.load(Ordering::Relaxed),
+        drained: t.draining(),
     }
 }
 
-/// One admitted connection: reads framed lines until EOF, idle timeout,
-/// or drain; every complete line gets exactly one terminal response.
-fn conn_session(
-    engine: &Arc<ServeEngine>,
-    pool: &WorkerPool,
-    stream: TcpStream,
-    config: &TcpConfig,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let track = Arc::new(ConnTrack::default());
-    let out: SharedWriter = match stream.try_clone() {
+/// One admitted connection: the session reader under the idle
+/// deadline. Queued jobs still hold clones of the reply side when the
+/// reader exits, so the socket closes only after their responses are
+/// written.
+fn conn_session<C: Conn>(engine: &ServeEngine, pool: &WorkerPool, stream: C, config: &TcpConfig) {
+    let out: SharedWriter = match stream.dup() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(e) => {
             obs_event!(Level::Warn, "serve.conn_error", error = e.to_string());
             return;
         }
     };
-    let mut reader = LineReader::new(stream, config.max_line_bytes);
-    let mut last_line = Instant::now();
-    let mut timed_out = false;
-    loop {
-        if engine.transport.draining() {
-            break;
-        }
-        let deadline = last_line + config.idle_timeout;
-        match reader.next_line_by(Some(deadline)) {
-            FramedLine::Line(line) => {
-                last_line = Instant::now();
-                if line.trim().is_empty() {
-                    continue;
-                }
-                track.requests.fetch_add(1, Ordering::Relaxed);
-                let job = Job {
-                    line,
-                    trace: TraceCtx::root(),
-                    enqueued: Instant::now(),
-                    out: Arc::clone(&out),
-                    track: Some(Arc::clone(&track)),
-                };
-                if let Err(job) = pool.try_submit(engine, job) {
-                    let _trace = tpp_obs::trace::enter(job.trace);
-                    let (response, _) = answer_unqueued(engine, &job.line);
-                    deliver(engine, &out, &track, &response);
-                }
-            }
-            FramedLine::Overlong => {
-                last_line = Instant::now();
-                track.requests.fetch_add(1, Ordering::Relaxed);
-                engine
-                    .transport
-                    .overlong_lines
-                    .fetch_add(1, Ordering::Relaxed);
-                tpp_obs::metrics().counter("serve.overlong_line").inc();
-                let response = engine.framing_error_response(&format!(
-                    "line exceeds {} byte cap",
-                    config.max_line_bytes
-                ));
-                deliver(engine, &out, &track, &response);
-            }
-            FramedLine::InvalidUtf8 => {
-                last_line = Instant::now();
-                track.requests.fetch_add(1, Ordering::Relaxed);
-                let response = engine.framing_error_response("line is not valid utf-8");
-                deliver(engine, &out, &track, &response);
-            }
-            FramedLine::TimedOut => {
-                // Read timeouts double as the drain poll; only a blown
-                // idle deadline is fatal.
-                if Instant::now() >= deadline {
-                    timed_out = true;
-                    engine
-                        .transport
-                        .conn_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
-                    tpp_obs::metrics().counter("serve.conn_timeout").inc();
-                    obs_event!(
-                        Level::Info,
-                        "serve.conn_timeout",
-                        idle_ms = last_line.elapsed().as_millis() as u64,
-                    );
-                    break;
-                }
-            }
-            FramedLine::Eof => break,
-            FramedLine::Err(e) => {
-                obs_event!(Level::Warn, "serve.conn_error", error = e.to_string());
-                break;
-            }
-        }
-    }
-    // The reader exits here, but queued jobs still hold `out` clones:
-    // the socket closes only after their responses are written.
+    let track = Arc::new(ConnTrack::default());
+    let limits = SessionLimits {
+        max_line_bytes: config.max_line_bytes,
+        idle_timeout: Some(config.idle_timeout),
+        max_requests: None,
+    };
+    let end = read_session(engine, pool, stream, &out, &track, &limits);
     obs_event!(
         Level::Debug,
         "serve.conn_closed",
         requests = track.requests.load(Ordering::Relaxed),
         responses = track.responses.load(Ordering::Relaxed),
-        timed_out = timed_out,
+        timed_out = end.timed_out,
     );
     tpp_obs::metrics().counter("serve.conn_closed").inc();
-}
-
-/// Writes a reader-side (shed or framing) response and keeps the
-/// per-connection and delivery-failure accounting identical to the
-/// worker path.
-fn deliver(engine: &ServeEngine, out: &SharedWriter, track: &ConnTrack, response: &str) {
-    let delivered = write_response(out, response);
-    track.responses.fetch_add(1, Ordering::Relaxed);
-    if !delivered {
-        engine
-            .transport
-            .undeliverable_responses
-            .fetch_add(1, Ordering::Relaxed);
-        tpp_obs::metrics().counter("serve.write_failed").inc();
-        obs_event!(Level::Warn, "serve.response_undeliverable", path = "reader");
-    }
 }
 
 /// Handles a connection refused at admission: reads at most one capped
 /// line under a short deadline so the `overloaded` response can echo
 /// the request's `id`, answers, and closes. `unread` short-circuits the
 /// read entirely when too many shed handlers are already running.
-fn shed_connection(
-    engine: &Arc<ServeEngine>,
-    mut stream: TcpStream,
-    config: &TcpConfig,
-    unread: bool,
-) {
+fn shed_connection<C: Conn>(engine: &ServeEngine, mut stream: C, config: &TcpConfig, unread: bool) {
     let trace = TraceCtx::root();
     let _trace = tpp_obs::trace::enter(trace);
     // A fixed, short budget to present the line — independent of the
@@ -414,12 +406,8 @@ fn shed_connection(
     let response = if unread {
         engine.overloaded_response("")
     } else {
-        let _ = stream.set_read_timeout(Some(config.read_timeout.min(Duration::from_millis(50))));
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(_) => return,
-        };
-        let mut lines = LineReader::new(reader, config.max_line_bytes);
+        let _ = stream.blocking_reads(config.read_timeout.min(Duration::from_millis(50)));
+        let mut lines = LineReader::new(&mut stream, config.max_line_bytes);
         match lines.next_line_by(Some(deadline)) {
             // Even a shed connection can drain the daemon — an operator
             // must not be locked out by saturation.
@@ -440,7 +428,7 @@ fn shed_connection(
             error = e.to_string(),
         );
     }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    stream.close();
 }
 
 #[cfg(test)]

@@ -6,14 +6,16 @@
 //! so the `health` and `stats` ops can report transport truth (is the
 //! daemon accepting? how many connections? how deep is the queue? how
 //! many workers are actually alive?) without the engine holding a
-//! reference to any particular listener. The stdio session, the
-//! Unix-socket listener and the TCP supervisor all update the same
-//! state; a load balancer probing `health` sees `accepting: false` the
-//! moment a drain begins, the admission gate saturates, or the worker
-//! pool dies past recovery — *before* its next request would starve.
+//! reference to any particular listener. A daemon runs one transport —
+//! the stdio session or one socket accept loop (TCP or Unix) — and
+//! that transport's one pool and its sessions update this state; a
+//! load balancer probing `health` sees `accepting: false` the moment a
+//! drain begins, the admission gate saturates, or the worker pool dies
+//! past recovery — *before* its next request would starve.
 //!
 //! [`WorkerPool`] is the bounded queue + worker threads behind every
-//! transport, plus a supervisor thread that keeps the pool alive:
+//! transport (one per transport, shared by all of its sessions), plus
+//! a supervisor thread that keeps the pool alive:
 //! each worker stamps a heartbeat word when it picks up a job, and the
 //! supervisor respawns workers that panicked out (a panic escaping the
 //! per-request `catch_unwind`) and replaces workers wedged past a
@@ -34,14 +36,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tpp_obs::{obs_event, Level, TraceCtx};
 
-/// A per-connection reply sink, shared between the reader that sheds
-/// and the workers that answer. Jobs hold a clone, so a response can
+/// A per-session reply sink, shared between the session reader and
+/// the workers that answer. Jobs hold a clone, so a response can
 /// still be delivered after the connection's reader has exited — the
 /// socket only closes when the last clone drops.
 pub type SharedWriter = Arc<Mutex<dyn Write + Send>>;
 
-/// Per-connection request/response accounting, for `serve.conn_closed`
-/// events and the closed-without-response invariant.
+/// Per-session request/response accounting, for `serve.conn_closed`
+/// events, the stdio exit summary and the closed-without-response
+/// invariant.
 #[derive(Debug, Default)]
 pub struct ConnTrack {
     /// Complete request lines read on this connection.
@@ -59,10 +62,10 @@ pub struct Job {
     pub trace: TraceCtx,
     /// Enqueue time, for queue-wait accounting.
     pub enqueued: Instant,
-    /// The connection's reply sink.
+    /// The session's reply sink.
     pub out: SharedWriter,
-    /// The connection's accounting (absent on the stdio transport).
-    pub track: Option<Arc<ConnTrack>>,
+    /// The session's request/response accounting.
+    pub track: Arc<ConnTrack>,
 }
 
 /// The policy identity of a queued request line, at the protocol level:
@@ -167,11 +170,11 @@ impl Default for SupervisorConfig {
 #[derive(Debug, Default)]
 pub struct TransportState {
     draining: AtomicBool,
-    /// Open admitted connections (TCP transport).
+    /// Open admitted connections (socket transports).
     pub connections: AtomicI64,
     /// Jobs sitting in the bounded queue right now.
     pub queue_depth: AtomicI64,
-    /// Connection limit (0 = no TCP transport attached).
+    /// Connection limit (0 = no socket transport attached).
     pub max_connections: AtomicU64,
     /// Bounded-queue capacity (0 = unknown).
     pub queue_capacity: AtomicU64,
@@ -222,13 +225,6 @@ pub struct TransportState {
 }
 
 impl TransportState {
-    /// Records the transport's limits so saturation is computable.
-    pub fn set_limits(&self, max_connections: u64, queue_capacity: u64) {
-        self.max_connections
-            .store(max_connections, Ordering::Relaxed);
-        self.queue_capacity.store(queue_capacity, Ordering::Relaxed);
-    }
-
     /// Begins a graceful drain; returns `true` for the call that
     /// actually flipped the flag (later calls are idempotent no-ops).
     pub fn begin_drain(&self) -> bool {
@@ -331,20 +327,32 @@ pub(crate) fn answer_unqueued(engine: &ServeEngine, line: &str) -> (String, bool
     }
 }
 
-/// Writes one response line under the connection's output lock.
-/// Returns whether the write (and flush) reached the peer — a dead
-/// client must not kill the daemon, but the failure is counted.
+/// Writes one response line under the session's output lock, counts
+/// it on the session, and counts a write that did not reach the peer
+/// as undeliverable (a dead client must not kill the daemon). Every
+/// reply — worker, rescue, post-mortem or reader-side — goes here.
 ///
 /// A poisoned lock is recovered, not propagated: the writer is a plain
 /// byte sink (the worst a mid-`writeln!` panic leaves behind is a torn
 /// line the client's framing already tolerates), and propagating would
 /// cascade one worker's death into every worker that shares the sink.
-pub(crate) fn write_response(out: &SharedWriter, line: &str) -> bool {
-    let mut out = out.lock().unwrap_or_else(|poisoned| {
-        count_lock_recovered("output");
-        poisoned.into_inner()
-    });
-    writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
+pub(crate) fn deliver(engine: &ServeEngine, out: &SharedWriter, track: &ConnTrack, line: &str) {
+    let delivered = {
+        let mut out = out.lock().unwrap_or_else(|poisoned| {
+            count_lock_recovered("output");
+            poisoned.into_inner()
+        });
+        writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
+    };
+    track.responses.fetch_add(1, Ordering::Relaxed);
+    if !delivered {
+        engine
+            .transport
+            .undeliverable_responses
+            .fetch_add(1, Ordering::Relaxed);
+        tpp_obs::metrics().counter("serve.write_failed").inc();
+        obs_event!(Level::Warn, "serve.response_undeliverable");
+    }
 }
 
 #[derive(Default)]
@@ -518,25 +526,8 @@ impl Drop for BatchRescue<'_> {
             tpp_obs::metrics().counter("serve.worker_rescued").inc();
             obs_event!(Level::Error, "serve.job_rescued");
             let response = self.engine.worker_crash_response(&job.line);
-            deliver_to_job(self.engine, job, &response);
+            deliver(self.engine, &job.out, &job.track, &response);
         }
-    }
-}
-
-/// Writes one response to a job's connection and settles its
-/// accounting (response count, undeliverable tally).
-fn deliver_to_job(engine: &ServeEngine, job: &Job, response: &str) {
-    let delivered = write_response(&job.out, response);
-    if let Some(track) = &job.track {
-        track.responses.fetch_add(1, Ordering::Relaxed);
-    }
-    if !delivered {
-        engine
-            .transport
-            .undeliverable_responses
-            .fetch_add(1, Ordering::Relaxed);
-        tpp_obs::metrics().counter("serve.write_failed").inc();
-        obs_event!(Level::Warn, "serve.response_undeliverable", path = "worker");
     }
 }
 
@@ -621,7 +612,8 @@ fn worker_loop(
             .collect();
         engine.handle_batch(&items, &mut |idx, response| {
             answered[idx].store(true, Ordering::SeqCst);
-            deliver_to_job(&engine, &members[idx], &response);
+            let member = &members[idx];
+            deliver(&engine, &member.out, &member.track, &response);
         });
         rescue.armed = false;
         drop(rescue);
@@ -708,17 +700,15 @@ impl WorkerPool {
         config: SupervisorConfig,
         batch: BatchConfig,
     ) -> WorkerPool {
-        let queue = Arc::new(JobQueue::new(capacity.max(1)));
+        let capacity = capacity.max(1);
+        let queue = Arc::new(JobQueue::new(capacity));
         let epoch = Instant::now();
         let workers = workers.max(1);
-        engine
-            .transport
-            .workers_configured
+        let t = &engine.transport;
+        t.queue_capacity.store(capacity as u64, Ordering::Relaxed);
+        t.workers_configured
             .store(workers as u64, Ordering::Relaxed);
-        engine
-            .transport
-            .supervised
-            .store(config.enabled, Ordering::Relaxed);
+        t.supervised.store(config.enabled, Ordering::Relaxed);
         let mut slots = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (handle, ctl) = spawn_worker(&engine, &queue, epoch, &batch);
@@ -803,7 +793,7 @@ impl WorkerPool {
             self.engine.transport.queue_dec();
             let response = catch_unwind(AssertUnwindSafe(|| self.engine.handle_line(&job.line)))
                 .unwrap_or_else(|_| self.engine.worker_crash_response(&job.line));
-            deliver_to_job(&self.engine, &job, &response);
+            deliver(&self.engine, &job.out, &job.track, &response);
             obs_event!(Level::Warn, "serve.postmortem_answered");
         }
     }

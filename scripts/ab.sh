@@ -14,6 +14,11 @@
 # delta, the parent's IQR, the pairs the change won and the pairs that
 # tied, then the failed-op counts. Raw results are kept in
 # .bench_build/ab-<workload>-<time>/.
+# Exits 1 when an end-to-end metric's change median is worse than the
+# parent median by more than that metric's relative BENCHMARK.json
+# bound, or when the change failed more ops in total than the parent.
+# A metric whose parent IQR/median is wider than its bound is printed
+# as unresolved and does not fail the run.
 # A manual step for a quiet machine; scripts/check.sh does not run it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,9 +81,10 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
-print(f"\n{'metric':<18}{'parent':>12}{'change':>12}{'delta':>9}{'parent IQR':>12}  won  tied")
+print(f"\n{'metric':<18}{'parent':>12}{'change':>12}{'delta':>9}{'parent IQR':>12}  won  tied  verdict")
+regressed = []
 for m in bench["end_to_end"]:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
              for p, c in zip(runs["parent"], runs["change"])
              if name in p["metrics"] and name in c["metrics"]]
@@ -91,9 +97,30 @@ for m in bench["end_to_end"]:
     won = sum((c > p) if higher else (c < p) for p, c in pairs)
     tied = sum(c == p for p, c in pairs)
     delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-    print(f"{name:<18}{pm:>12.6g}{cm:>12.6g}{delta:>9}{hi - lo:>12.4g}  {won}/{len(pairs)}  {tied}")
+    # How much worse the change median is, relative to the parent's.
+    worse = (pm - cm) if higher else (cm - pm)
+    if pm:
+        worse_rel, spread_rel = worse / abs(pm), (hi - lo) / abs(pm)
+    else:
+        worse_rel = float("inf") if worse > 0 else 0.0
+        spread_rel = float("inf") if hi > lo else 0.0
+    if spread_rel > bound:
+        verdict = "unresolved"
+    elif worse_rel > bound:
+        verdict = f"REGRESSED (bound {bound:.0%})"
+        regressed.append(name)
+    else:
+        verdict = "ok"
+    print(f"{name:<18}{pm:>12.6g}{cm:>12.6g}{delta:>9}{hi - lo:>12.4g}  {won}/{len(pairs)}  {tied:>4}  {verdict}")
+failed = {}
 for s in ("parent", "change"):
-    failed = [r["failed"] for r in runs[s]]
+    per_run = [r["failed"] for r in runs[s]]
+    failed[s] = sum(per_run)
     wrong = sum(not r["correct"] for r in runs[s])
-    print(f"{s}: failed ops per run {failed}, runs with failed checks {wrong}")
+    print(f"{s}: failed ops per run {per_run}, runs with failed checks {wrong}")
+if regressed:
+    print(f"ab: regressed beyond bound: {', '.join(regressed)}")
+if failed["change"] > failed["parent"]:
+    print(f"ab: the change failed {failed['change']} ops, the parent {failed['parent']}")
+sys.exit(1 if regressed or failed["change"] > failed["parent"] else 0)
 PY
