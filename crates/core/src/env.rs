@@ -13,7 +13,7 @@ use crate::reward::{RewardModel, SimTracker};
 use std::cell::{Cell, RefCell};
 use tpp_geo::{haversine_km, DistanceMatrix, GeoPoint, GridIndex};
 use tpp_model::{ItemId, ItemKind, Plan, PlanningInstance, PrereqExpr};
-use tpp_rl::{Environment, StepOutcome, DENSE_AUTO_MAX};
+use tpp_rl::{greedy_tie_scan, scan_greedy_ties, Environment, QTable, StepOutcome, DENSE_AUTO_MAX};
 
 /// Float tolerance on the `#cr` budget boundary, shared by the
 /// admission gate and the course termination check so the two can never
@@ -121,7 +121,10 @@ struct Shortlist<'a> {
     top_k: usize,
 }
 
-/// How [`Environment::valid_actions`] finds its candidates.
+/// How [`Environment::valid_actions`] finds its candidates. Each env
+/// holds one, inline: boxing the larger variant would only add an
+/// allocation to [`TppEnv::new`] and a load to every gate call.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum Scan<'a> {
     /// Every unvisited item, gated a word of 64 at a time.
@@ -211,9 +214,19 @@ fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
         .flat_map(|(w, &word)| bits_of(word, w * 64))
 }
 
-/// The full scan's gate state, kept current by [`TppEnv`]'s `seat` so
-/// that [`Environment::valid_actions`] gates a word of 64 candidates at
-/// a time (DESIGN §11). Shortlisted envs carry none of it: their
+/// Calls `f` with the index of every antecedent leaf of `expr`.
+fn each_antecedent(expr: &PrereqExpr, f: &mut impl FnMut(usize)) {
+    match expr {
+        PrereqExpr::None => {}
+        PrereqExpr::Item(id) => f(id.index()),
+        PrereqExpr::All(v) | PrereqExpr::Any(v) => v.iter().for_each(|e| each_antecedent(e, f)),
+    }
+}
+
+/// The full scan's gate and reward state, kept current by [`TppEnv`]'s
+/// `seat` so that [`Environment::valid_actions`] gates a word of 64
+/// candidates at a time and [`Environment::greedy_ties`] picks by reward
+/// level (DESIGN §11). Shortlisted envs carry none of it: their
 /// per-step work stays proportional to the radius hits.
 #[derive(Debug, Clone)]
 struct FullScan {
@@ -231,6 +244,19 @@ struct FullScan {
     /// `topic_items` rows of its topics. Empty unless a theme rule
     /// applies.
     clash: Vec<u64>,
+    /// r2: the items whose antecedent expression holds at the env's
+    /// `at_block`. Only gains bits within an episode.
+    prereq_met: Vec<u64>,
+    /// `prereq_met` before any antecedent is eligible.
+    prereq_free: Vec<u64>,
+    /// `(antecedent, dependent)` for every antecedent leaf, sorted: an
+    /// item's dependents are one run of it.
+    dependents: Vec<(usize, usize)>,
+    /// Whether every item's type term is finite.
+    finite_terms: bool,
+    /// [`TppEnv::level_ties`]' candidate and θ masks and its top-level
+    /// members, sized on the first pick.
+    scratch: RefCell<(Vec<u64>, Vec<u64>, Vec<usize>)>,
 }
 
 impl FullScan {
@@ -240,21 +266,36 @@ impl FullScan {
         let credits = &tables.credits;
         let mut by_credits: Vec<usize> = (0..n).filter(|&j| !credits[j].is_nan()).collect();
         by_credits.sort_unstable_by(|&a, &b| credits[b].total_cmp(&credits[a]));
-        let mut topic_items = Vec::new();
-        if themed {
-            topic_items = vec![0; n_topics * item_words];
-            for j in 0..n {
+        let mut topic_items = vec![0; if themed { n_topics * item_words } else { 0 }];
+        let mut prereq_free = vec![0; item_words];
+        let mut dependents = Vec::with_capacity(n);
+        for (j, expr) in tables.prereqs.iter().enumerate() {
+            if themed {
                 for t in ones(tables.topics(j)) {
                     set_bit(&mut topic_items[t * item_words..], j);
                 }
             }
+            if expr.is_none() {
+                set_bit(&mut prereq_free, j);
+                continue;
+            }
+            if expr.holds(&|_| false) {
+                set_bit(&mut prereq_free, j);
+            }
+            each_antecedent(expr, &mut |p| dependents.push((p, j)));
         }
+        dependents.sort_unstable();
         FullScan {
             by_credits,
             cursor: 0,
             retired: vec![0; item_words],
             clash: vec![0; if themed { item_words } else { 0 }],
             topic_items,
+            prereq_met: prereq_free.clone(),
+            prereq_free,
+            dependents,
+            finite_terms: tables.type_term.iter().all(|t| t.is_finite()),
+            scratch: RefCell::default(),
         }
     }
 
@@ -262,6 +303,30 @@ impl FullScan {
     fn restart(&mut self) {
         self.cursor = 0;
         self.retired.fill(0);
+    }
+
+    /// Adds to r2 every dependent of the `eligible` antecedents whose
+    /// expression now holds over the seated blocks, the leaf
+    /// [`TppEnv::prereq_holds`] walks.
+    fn admit(
+        &mut self,
+        eligible: impl Iterator<Item = usize>,
+        prereqs: &[&PrereqExpr],
+        seated_block: &[usize],
+        at_block: usize,
+    ) {
+        let leaf = |id: ItemId| seated_block[id.index()] < at_block;
+        for p in eligible {
+            let from = self.dependents.partition_point(|&(a, _)| a < p);
+            for &(a, d) in &self.dependents[from..] {
+                if a != p {
+                    break;
+                }
+                if !bit(&self.prereq_met, d) && prereqs[d].holds(&leaf) {
+                    set_bit(&mut self.prereq_met, d);
+                }
+            }
+        }
     }
 
     /// Retires, in descending-credit order, every item the `#cr` gate
@@ -533,6 +598,8 @@ impl<'a> TppEnv<'a> {
         let before = self.elapsed_hours;
         self.elapsed_hours += item.credits;
         self.current = j;
+        let block = self.at_block;
+        self.refresh_step_terms();
         if let Scan::Full(fs) = &mut self.scan {
             // Retirement holds only while `elapsed_hours` does not fall;
             // a negative or NaN credit (which `CatalogBuilder` rejects)
@@ -546,8 +613,22 @@ impl<'a> TppEnv<'a> {
                 &self.tables.credits,
             );
             fs.set_clash(self.tables.topics(j));
+            if self.at_block > block {
+                // The items seated in the block just closed are the
+                // antecedents that became eligible.
+                let model = &self.model;
+                let closed = (0..self.items.len())
+                    .rev()
+                    .take_while(|&p| model.block_of(p) == block)
+                    .map(|p| self.items[p].index());
+                fs.admit(
+                    closed,
+                    &self.tables.prereqs,
+                    &self.seated_block,
+                    self.at_block,
+                );
+            }
         }
-        self.refresh_step_terms();
     }
 
     /// Recomputes the reward terms that change once per step.
@@ -663,6 +744,144 @@ impl<'a> TppEnv<'a> {
         self.gates.set(g);
     }
 
+    /// r1: the item's novel ideal gain reaches `min_gain`.
+    fn covers(&self, j: usize) -> bool {
+        let topics = self.tables.topics(j).iter().zip(&self.missing);
+        let gain: u32 = topics.map(|(t, m)| (t & m).count_ones()).sum();
+        gain >= self.model.min_gain()
+    }
+
+    /// r2 for a shortlisted env: the item's antecedent expression over
+    /// the seated blocks.
+    fn prereq_holds(&self, j: usize) -> bool {
+        let (seated, at_block) = (&self.seated_block, self.at_block);
+        self.tables.prereqs[j].holds(&|id: ItemId| seated[id.index()] < at_block)
+    }
+
+    /// Whether r2's trip theme gap zeroes the reward of an item sharing
+    /// a theme with the current one.
+    fn theme_gap_applies(&self) -> bool {
+        self.model.theme_gap() && self.instance.is_trip() && !self.items.is_empty()
+    }
+
+    /// Eq. 2's value for an item that passes θ.
+    #[inline]
+    fn value(&self, j: usize) -> f64 {
+        self.sim_term[kind_slot(self.tables.kinds[j])] + self.tables.type_term[j]
+    }
+
+    /// [`Environment::greedy_ties`] by reward level: the candidates that
+    /// pass θ are those of `allowed ∧ r2 ∧ ¬clash` (the clash only while
+    /// r2's theme gap applies) that pass r1, the rest sit on the zero
+    /// level, and only the top level's members run [`greedy_tie_scan`]'s
+    /// Q chain, in ascending index order.
+    ///
+    /// Writes `best` and returns `true` only when that provably equals
+    /// the scan over every candidate (DESIGN §11): `allowed` is strictly
+    /// ascending, every type term and similarity term is finite, the top
+    /// level `t` is finite, and the next level `b` below it satisfies the
+    /// scan's own `t > b + 1e-12` and `|b − t| > 1e-12`, so no lower
+    /// candidate can displace or join a top one. Returns `false`, `best`
+    /// untouched, otherwise.
+    fn level_ties(
+        &self,
+        fs: &FullScan,
+        q: &QTable,
+        allowed: &[usize],
+        best: &mut Vec<usize>,
+    ) -> bool {
+        if allowed.is_empty() || !fs.finite_terms || !self.sim_term.iter().all(|t| t.is_finite()) {
+            return false;
+        }
+        let mut scratch = fs.scratch.borrow_mut();
+        let (cand, theta, members) = &mut *scratch;
+        cand.clear();
+        cand.resize(self.unvisited.len(), 0);
+        theta.resize(cand.len(), 0);
+        let (mut word, mut acc, mut floor) = (0, 0u64, 0);
+        for &a in allowed {
+            if a < floor {
+                return false;
+            }
+            floor = a + 1;
+            if a / 64 != word {
+                cand[word] = acc;
+                (word, acc) = (a / 64, 0);
+            }
+            acc |= 1 << (a % 64);
+        }
+        cand[word] = acc;
+        let clash = self.theme_gap_applies().then_some(fs.clash.as_slice());
+        // The top level with its members, and the next level below it;
+        // NEG_INFINITY means "none".
+        let (mut top, mut next) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        members.clear();
+        for (w, t) in theta.iter_mut().enumerate() {
+            *t = 0;
+            let live = cand[w] & fs.prereq_met[w] & !clash.map_or(0, |c| c[w]);
+            for j in bits_of(live, w * 64).filter(|&j| self.covers(j)) {
+                *t |= 1 << (j % 64);
+                let v = self.value(j);
+                if v > top {
+                    (next, top) = (top, v);
+                    members.clear();
+                    members.push(j);
+                } else if v == top {
+                    members.push(j);
+                } else if v > next {
+                    next = v;
+                }
+            }
+        }
+        if cand.iter().zip(theta.iter()).any(|(c, t)| c & !t != 0) {
+            if 0.0 < top {
+                next = next.max(0.0);
+            } else {
+                // The zero level is the top: merge its members in.
+                if 0.0 > top {
+                    (next, top) = (top, 0.0);
+                }
+                members.clear();
+                for (w, (&c, &t)) in cand.iter().zip(theta.iter()).enumerate() {
+                    let zero = |j: usize| t >> (j % 64) & 1 == 0 || self.value(j) == 0.0;
+                    members.extend(bits_of(c, w * 64).filter(|&j| zero(j)));
+                }
+            }
+        }
+        let separated =
+            next == f64::NEG_INFINITY || top > next + 1e-12 && (next - top).abs() > 1e-12;
+        if !top.is_finite() || !separated {
+            return false;
+        }
+        greedy_tie_scan(q, self.current, members.iter().map(|&j| (j, top)), best);
+        true
+    }
+
+    /// r2's bit for item `j` on the full scan; `None` on a shortlisted
+    /// env.
+    #[cfg(test)]
+    pub(crate) fn prereq_met(&self, j: usize) -> Option<bool> {
+        match &self.scan {
+            Scan::Full(fs) => Some(bit(&fs.prereq_met, j)),
+            Scan::Shortlist(_) => None,
+        }
+    }
+
+    /// Whether [`TppEnv::level_ties`] answers for `allowed` (writing
+    /// `best`) rather than leaving it to the scan.
+    #[cfg(test)]
+    pub(crate) fn picks_by_level(
+        &self,
+        q: &QTable,
+        allowed: &[usize],
+        best: &mut Vec<usize>,
+    ) -> bool {
+        match &self.scan {
+            Scan::Full(fs) => self.level_ties(fs, q, allowed, best),
+            Scan::Shortlist(_) => false,
+        }
+    }
+
     /// Gate tallies accumulated so far (see [`GateCounts`]).
     pub fn gate_counts(&self) -> GateCounts {
         self.gates.get()
@@ -685,10 +904,13 @@ impl Environment for TppEnv<'_> {
         self.fill_unvisited();
         if let Scan::Full(fs) = &mut self.scan {
             fs.restart();
+            fs.prereq_met.copy_from_slice(&fs.prereq_free);
         }
         self.seated_block.fill(usize::MAX);
         self.sim.reset();
         self.items.clear();
+        // `seat` admits the antecedents of the block it advances from.
+        self.at_block = self.model.block_of(0);
         self.missing.copy_from_slice(self.model.ideal().blocks());
         self.elapsed_hours = 0.0;
         self.travelled_km = 0.0;
@@ -727,31 +949,32 @@ impl Environment for TppEnv<'_> {
 
     /// Eq. 2 for appending `action`, doing only the candidate's share
     /// of the work: r1 is a popcount against the missing ideal topics,
-    /// r2 compares seated blocks, and the value is the per-step
+    /// r2 a bit of the full scan's `prereq_met` (on a shortlisted env, a
+    /// walk over the seated blocks), and the value is the per-step
     /// similarity term plus the per-item type term.
     fn peek_reward(&self, action: usize) -> f64 {
-        let t = &self.tables;
-        let topics = t.topics(action);
-        let gain: u32 = topics
-            .iter()
-            .zip(&self.missing)
-            .map(|(m, i)| (m & i).count_ones())
-            .sum();
-        if gain < self.model.min_gain() {
-            return 0.0; // r1 = 0
+        let theta = self.covers(action)
+            && match &self.scan {
+                Scan::Full(fs) => bit(&fs.prereq_met, action),
+                Scan::Shortlist(_) => self.prereq_holds(action),
+            };
+        if !theta || self.theme_gap_applies() && self.shares_theme(action) {
+            return 0.0; // θ = r1 · r2 = 0
         }
-        let (seated, at_block) = (&self.seated_block, self.at_block);
-        if !t.prereqs[action].holds(&|id: ItemId| seated[id.index()] < at_block) {
-            return 0.0; // r2 = 0
+        self.value(action)
+    }
+
+    /// On the full scan, the top reward level's ties
+    /// ([`TppEnv::level_ties`]) whenever they provably equal the scan's;
+    /// otherwise the scan over every candidate.
+    fn greedy_ties(&self, q: &QTable, allowed: &[usize], best: &mut Vec<usize>) {
+        let picked = match &self.scan {
+            Scan::Full(fs) => self.level_ties(fs, q, allowed, best),
+            Scan::Shortlist(_) => false,
+        };
+        if !picked {
+            scan_greedy_ties(self, q, allowed, best);
         }
-        if self.model.theme_gap()
-            && self.instance.is_trip()
-            && !self.items.is_empty()
-            && self.shares_theme(action)
-        {
-            return 0.0; // r2's trip theme gap
-        }
-        self.sim_term[kind_slot(t.kinds[action])] + t.type_term[action]
     }
 }
 
@@ -1117,7 +1340,9 @@ pub(crate) mod tests {
     fn only_full_scans_carry_the_bitset_gate_state() {
         // City scale stays flat: a shortlisted city-10k env gates ~the
         // radius hits per step, so it keeps no credit order, no topic
-        // masks and no clash mask that `seat` would rebuild in O(n).
+        // masks, no clash mask, no r2 mask and no dependents index that
+        // `seat` would maintain in O(n), and it picks its greedy action
+        // by the scan.
         let city = tpp_datagen::city_10k(tpp_datagen::defaults::CITY_SEED);
         let params = PlannerParams::trip_defaults();
         assert_eq!(params.shortlist, ShortlistMode::Auto);
@@ -1130,15 +1355,29 @@ pub(crate) mod tests {
         let mut acts = Vec::new();
         env.valid_actions(&mut acts);
         assert!(!acts.is_empty());
-        // A full-scan trip env orders every item by credits and builds
-        // the clash mask its theme rules read.
+        let q = QTable::for_catalog(city.instance.catalog.len());
+        let mut best = Vec::new();
+        assert_eq!(env.prereq_met(acts[0]), None);
+        assert!(!env.picks_by_level(&q, &acts, &mut best));
+        // A full-scan trip env orders every item by credits, builds the
+        // clash mask its theme rules read and indexes every antecedent's
+        // dependents.
         let inst = trip_instance();
+        let n = inst.catalog.len();
         let env = TppEnv::new(&inst, &params);
         let Scan::Full(fs) = &env.scan else {
             panic!("the Paris toy takes the full scan")
         };
-        assert_eq!(fs.by_credits.len(), inst.catalog.len());
-        assert_eq!(fs.clash.len(), inst.catalog.len().div_ceil(64));
+        assert_eq!(fs.by_credits.len(), n);
+        assert_eq!(fs.clash.len(), n.div_ceil(64));
+        let refs: usize = inst
+            .catalog
+            .items()
+            .iter()
+            .map(|i| i.prereq.referenced_items().len())
+            .sum();
+        assert!(refs > 0);
+        assert_eq!(fs.dependents.len(), refs);
         // A course catalog has no theme rule: no topic or clash masks.
         let course = course_instance();
         let env = TppEnv::new(&course, &course_params());

@@ -27,7 +27,7 @@ use crate::{
 };
 use tpp_datagen::defaults::{CITY_SEED, NYC_SEED, PARIS_SEED, UNIV1_SEED, UNIV2_SEED};
 use tpp_model::{ItemId, PlanningInstance};
-use tpp_rl::{Environment, TrainRng};
+use tpp_rl::{Environment, QTable, TrainRng};
 
 /// The four benchmark datasets, with training budgets trimmed so the
 /// suite stays in CI-smoke territory (equivalence holds per step, so
@@ -759,5 +759,305 @@ fn theme_clashes_across_topic_words_are_bit_identical() {
     assert!(theme_gap > 0, "the theme gate never fired");
     for seed in 0..6 {
         random_walk_lockstep("straddling themes", &instance, &params, seed);
+    }
+}
+
+/// The Q-tables the greedy pick is pinned under: all zeros; a random
+/// palette of values spaced by exactly `1e-12` and just over it, where
+/// the scan's tolerance chain is not transitive; that palette with NaN
+/// entries; and, when `params` are valid, one learned on `instance`.
+fn pick_tables(instance: &PlanningInstance, params: &PlannerParams, seed: u64) -> Vec<QTable> {
+    let n = instance.catalog.len();
+    let just_over = f64::from_bits(1e-12f64.to_bits() + 1);
+    let palette = [
+        0.0,
+        1e-12,
+        just_over,
+        2e-12,
+        3e-12,
+        -1e-12,
+        0.5,
+        0.5 + 1e-12,
+    ];
+    let mut rng = TrainRng::seed_from_u64(seed ^ 0x9e37);
+    let mut planted = QTable::zeros(n, n);
+    let mut with_nan = QTable::zeros(n, n);
+    for s in 0..n {
+        for a in 0..n {
+            let v = palette[rng.index(palette.len())];
+            planted.set(s, a, v);
+            with_nan.set(s, a, if rng.index(7) == 0 { f64::NAN } else { v });
+        }
+    }
+    let mut tables = vec![QTable::zeros(n, n), planted, with_nan];
+    if params.validate().is_ok() {
+        let mut learn_params = params.clone();
+        learn_params.episodes = learn_params.episodes.min(30);
+        tables.push(RlPlanner::learn(instance, &learn_params, seed).0.q);
+    }
+    tables
+}
+
+/// Walks `instance` with seeded random actions, as
+/// [`random_walk_lockstep_excluding`] does, and at every step asserts
+/// that [`TppEnv`]'s `greedy_ties` equals `tpp_rl`'s scan over
+/// `peek_reward` under every table of [`pick_tables`], and that r2's
+/// bitset agrees with [`tpp_model::PrereqExpr::satisfied_with_gap`] for
+/// every unseated item. Returns how many picks were checked and how many
+/// of them the reward levels answered.
+fn greedy_pick_lockstep(
+    label: &str,
+    instance: &PlanningInstance,
+    params: &PlannerParams,
+    seed: u64,
+    banned: &[ItemId],
+) -> (usize, usize) {
+    let tables = pick_tables(instance, params, seed);
+    let mut env = TppEnv::new(instance, params);
+    let mut rng = TrainRng::seed_from_u64(seed);
+    let n = instance.catalog.len();
+    let starts = [start_of(instance), rng.index(n), rng.index(n)];
+    let (mut acts, mut fast, mut scan) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut picks, mut by_level) = (0, 0);
+    for start in starts {
+        env.reset(start);
+        for &id in banned {
+            env.exclude(id);
+        }
+        for step in 0.. {
+            let plan = env.plan();
+            let pos_of = |id: ItemId| plan.items().iter().position(|&p| p == id);
+            for (j, item) in instance.catalog.items().iter().enumerate() {
+                if pos_of(item.id).is_none() {
+                    let holds =
+                        item.prereq
+                            .satisfied_with_gap(&pos_of, plan.len(), instance.hard.gap);
+                    assert_eq!(
+                        env.prereq_met(j),
+                        Some(holds),
+                        "{label} start {start}: r2 of {j} at step {step}"
+                    );
+                }
+            }
+            env.valid_actions(&mut acts);
+            if acts.is_empty() {
+                break;
+            }
+            for (t, q) in tables.iter().enumerate() {
+                env.greedy_ties(q, &acts, &mut fast);
+                tpp_rl::scan_greedy_ties(&env, q, &acts, &mut scan);
+                assert_eq!(
+                    fast, scan,
+                    "{label} start {start}: ties under table {t} diverge at step {step}"
+                );
+                picks += 1;
+                by_level += usize::from(env.picks_by_level(q, &acts, &mut fast));
+            }
+            if env.step(acts[rng.index(acts.len())]).done {
+                break;
+            }
+        }
+    }
+    (picks, by_level)
+}
+
+/// The greedy pick over the four benchmark datasets and a synthetic
+/// catalog under every [`variants`] entry, over the bitset word
+/// boundaries and the mixed-credit catalog, and after exclusions.
+#[test]
+fn greedy_ties_by_level_equal_the_scan() {
+    let mut runs: Vec<(String, PlanningInstance, PlannerParams, Vec<ItemId>)> = Vec::new();
+    let mut sets = datasets();
+    let synthetic = tpp_datagen::synthetic_course_instance(
+        &tpp_datagen::SyntheticConfig::sized(60),
+        UNIV1_SEED,
+    );
+    sets.push(("synthetic", synthetic, PlannerParams::univ1_defaults()));
+    for (name, instance, params) in &sets {
+        for (variant, inst, p) in variants(instance, params) {
+            runs.push((format!("{name} / {variant}"), inst, p, Vec::new()));
+        }
+        let n = instance.catalog.len();
+        let banned = [1, n / 3, n / 2, n - 1].map(|i| ItemId(i as u32)).to_vec();
+        runs.push((
+            format!("{name} excluding"),
+            instance.clone(),
+            params.clone(),
+            banned,
+        ));
+    }
+    for n in [63, 64, 65, 128] {
+        let config = tpp_datagen::SyntheticConfig::sized(n);
+        let instance = tpp_datagen::synthetic_course_instance(&config, UNIV1_SEED);
+        runs.push((
+            format!("synthetic-{n}"),
+            instance,
+            PlannerParams::univ1_defaults(),
+            Vec::new(),
+        ));
+    }
+    let mixed = mixed_credit_course(130);
+    let capstone = mixed
+        .catalog
+        .items()
+        .iter()
+        .position(|i| i.credits == 12.0)
+        .unwrap();
+    let mut params = PlannerParams::univ1_defaults();
+    params.epsilon = 0.0;
+    runs.push((
+        "mixed credits".into(),
+        mixed.clone(),
+        params.clone(),
+        Vec::new(),
+    ));
+    let banned = vec![ItemId(capstone as u32), ItemId(1), ItemId(64)];
+    runs.push(("mixed credits excluding".into(), mixed, params, banned));
+    let (mut picks, mut by_level) = (0, 0);
+    for (i, (label, instance, params, banned)) in runs.iter().enumerate() {
+        let (p, l) = greedy_pick_lockstep(label, instance, params, i as u64, banned);
+        picks += p;
+        by_level += l;
+    }
+    // The levels answer nearly every pick; the scan takes the rest.
+    assert!(
+        by_level * 100 > picks * 99,
+        "{by_level} of {picks} picks by level"
+    );
+}
+
+/// A course catalog whose type terms are set by category weights, with
+/// `δ` as given: items 0..6 cycle through the categories, and items
+/// 6..8 require item 0, so early steps carry a zero level.
+fn leveled_course(weights: &[f64], delta: f64) -> (PlanningInstance, PlannerParams) {
+    use tpp_model::{CatalogBuilder, Category, HardConstraints, ItemKind, SoftConstraints};
+    let names: Vec<String> = (0..8).map(|t| format!("t{t}")).collect();
+    let mut b = CatalogBuilder::new("leveled").topics(names.iter().cloned());
+    for (i, name) in names.iter().enumerate() {
+        let kind = if i % 2 == 0 {
+            ItemKind::Primary
+        } else {
+            ItemKind::Secondary
+        };
+        b = b
+            .course(
+                format!("C{i}"),
+                format!("Course {i}"),
+                kind,
+                3.0,
+                &[name.as_str()],
+            )
+            .category(Category((i % weights.len()) as u8));
+    }
+    let catalog = b
+        .requires_all("C6", &["C0"])
+        .requires_all("C7", &["C0"])
+        .build()
+        .unwrap();
+    let hard = HardConstraints {
+        credits: 18.0,
+        n_primary: 3,
+        n_secondary: 3,
+        gap: 1,
+    };
+    let soft = SoftConstraints::new(
+        tpp_model::TopicVector::ones(8),
+        tpp_model::TemplateSet::from_strs(&["PSPSPS", "PPPSSS"]).unwrap(),
+        &hard,
+    )
+    .unwrap();
+    let instance = PlanningInstance {
+        catalog,
+        hard,
+        soft,
+        trip: None,
+        default_start: Some(ItemId(1)),
+    };
+    let mut params = PlannerParams::univ1_defaults();
+    params.weights = TypeWeights::Categories(weights.to_vec());
+    params.delta = delta;
+    params.beta = 1.0;
+    (instance, params)
+}
+
+/// Each case where the reward levels could order candidates unlike the
+/// scan: from start 1 (so item 0 and the items needing it are
+/// candidates) the pick falls back to the scan on two levels within
+/// `1e-12` and on a non-finite type term; a top level at `0.0` and
+/// `−0.0` merges with the zero level. Every pick equals the scan, then
+/// random walks do.
+#[test]
+fn near_levels_and_non_finite_terms_fall_back_to_the_scan() {
+    // 0.2 + 1e-12 sits just over 1e-12 above 0.2, yet equals the
+    // scan's own `b + 1e-12`: the scan neither ranks it above 0.2 nor
+    // ties the two.
+    let cases: [(&str, Vec<f64>, f64, bool); 5] = [
+        ("levels within 1e-12", vec![0.5, 0.5 + 1e-13], 0.0, false),
+        ("levels exactly 1e-12 apart", vec![1e-12, 2e-12], 0.0, false),
+        ("levels at b + 1e-12", vec![0.2, 0.2 + 1e-12], 0.0, false),
+        (
+            "top level at ±0 merges with zero",
+            vec![0.0, -0.0],
+            -0.0,
+            true,
+        ),
+        (
+            "an infinite type term",
+            vec![0.5, f64::INFINITY],
+            0.0,
+            false,
+        ),
+    ];
+    for (i, (label, weights, delta, by_level)) in cases.into_iter().enumerate() {
+        let (instance, params) = leveled_course(&weights, delta);
+        let mut env = TppEnv::new(&instance, &params);
+        env.reset(1);
+        let mut acts = Vec::new();
+        env.valid_actions(&mut acts);
+        assert!(acts.contains(&0) && acts.contains(&6), "{label}: {acts:?}");
+        assert_eq!(env.peek_reward(6), 0.0, "{label}: item 6 needs item 0");
+        for q in pick_tables(&instance, &params, i as u64) {
+            let (mut fast, mut scan) = (Vec::new(), Vec::new());
+            assert_eq!(
+                env.picks_by_level(&q, &acts, &mut fast),
+                by_level,
+                "{label}"
+            );
+            env.greedy_ties(&q, &acts, &mut fast);
+            tpp_rl::scan_greedy_ties(&env, &q, &acts, &mut scan);
+            assert_eq!(fast, scan, "{label}");
+        }
+        for seed in 0..4 {
+            greedy_pick_lockstep(label, &instance, &params, seed, &[]);
+        }
+    }
+}
+
+/// Negative credits restart the credit cursor mid-episode; r2's bitset
+/// must survive that restart. ds-ct's prerequisites with every fourth
+/// course at −2.5 credits, walked against the oracle and through the
+/// greedy pick.
+#[test]
+fn negative_credits_keep_r2_across_a_cursor_restart() {
+    let mut instance = tpp_datagen::univ1_ds_ct(UNIV1_SEED);
+    let items = instance
+        .catalog
+        .items()
+        .iter()
+        .cloned()
+        .map(|mut item| {
+            if item.id.index() % 4 == 1 {
+                item.credits = -2.5;
+            }
+            item
+        })
+        .collect();
+    let vocabulary = instance.catalog.vocabulary().clone();
+    instance.catalog = tpp_model::Catalog::new("negative-ds-ct", vocabulary, items).unwrap();
+    assert!(instance.catalog.items().iter().any(|i| !i.prereq.is_none()));
+    let params = PlannerParams::univ1_defaults();
+    for seed in 0..6 {
+        random_walk_lockstep("negative ds-ct", &instance, &params, seed);
+        greedy_pick_lockstep("negative ds-ct", &instance, &params, seed, &[]);
     }
 }

@@ -25,9 +25,10 @@ pub struct RlPlanner;
 /// random valid action; otherwise `argmax R(s, ·)` over the valid set
 /// (lines 4 and 9 of the pseudo-code select by *immediate reward*, which
 /// is what keeps training trajectories feasible — the Eq. 2 gate zeroes
-/// every constraint-violating action). Reward ties break by higher Q,
-/// then uniformly at random. `best` is the caller's scratch buffer for
-/// the tie set, reused across steps.
+/// every constraint-violating action). [`Environment::greedy_ties`]
+/// finds the reward ties broken by higher Q; the rest break uniformly
+/// at random. `best` is the caller's scratch buffer for the tie set,
+/// reused across steps.
 fn select_action<E: Environment>(
     env: &E,
     q: &QTable,
@@ -42,20 +43,7 @@ fn select_action<E: Environment>(
         return allowed[rng.index(allowed.len())];
     }
     let s = env.state();
-    best.clear();
-    let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &a in allowed {
-        let key = (env.peek_reward(a), q.get(s, a));
-        if key.0 > best_key.0 + 1e-12
-            || ((key.0 - best_key.0).abs() <= 1e-12 && key.1 > best_key.1 + 1e-12)
-        {
-            best_key = key;
-            best.clear();
-            best.push(a);
-        } else if (key.0 - best_key.0).abs() <= 1e-12 && (key.1 - best_key.1).abs() <= 1e-12 {
-            best.push(a);
-        }
-    }
+    env.greedy_ties(q, allowed, best);
     // Full (reward, Q) ties break toward the least-visited pair: the
     // systematic version of the paper's "one will be picked at random",
     // ensuring "extensive training" actually covers every tie member.
@@ -446,12 +434,12 @@ impl RlPlanner {
         ))
     }
 
-    /// Recommends a plan by greedy Q-table traversal from `start`
-    /// (Algorithm 1, lines 15–24). The environment enforces action
-    /// validity (unvisited items; trip budgets), so the walk is exactly
-    /// "argmax Q over the remaining items" until `H` items are placed.
-    /// Q ties (e.g. rows the training runs never reached) break by
-    /// immediate reward, then by lower index for determinism.
+    /// Recommends a plan from `start` (Algorithm 1, lines 15–24) by
+    /// running the training loop's reward-greedy policy with exploration
+    /// off. The environment enforces action validity (unvisited items;
+    /// trip budgets), and each step takes the valid item with the
+    /// highest immediate reward; reward ties break by higher Q, then by
+    /// lower index for determinism, until `H` items are placed.
     pub fn recommend(
         policy: &LearnedPolicy,
         instance: &PlanningInstance,

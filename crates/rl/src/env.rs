@@ -1,5 +1,7 @@
 //! The environment abstraction the planner's learner runs against.
 
+use crate::QTable;
+
 /// Result of taking one action.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutcome {
@@ -48,5 +50,55 @@ pub trait Environment {
     fn peek_reward(&self, action: usize) -> f64 {
         let _ = action;
         unimplemented!("this environment does not support peek_reward")
+    }
+
+    /// The reward-greedy tie set of Algorithm 1's behaviour policy over
+    /// `allowed`, written to `best`: the `argmax R(s, ·)` actions, with
+    /// reward ties broken by higher `Q(s, ·)`. The default is
+    /// [`scan_greedy_ties`], which peeks every candidate; an environment
+    /// that knows its reward levels may override it, but must return
+    /// the same set in the same order.
+    fn greedy_ties(&self, q: &QTable, allowed: &[usize], best: &mut Vec<usize>) {
+        scan_greedy_ties(self, q, allowed, best);
+    }
+}
+
+/// [`Environment::greedy_ties`] by peeking every candidate: the
+/// [`greedy_tie_scan`] of `allowed`, in order, keyed by
+/// [`Environment::peek_reward`].
+pub fn scan_greedy_ties<E: Environment + ?Sized>(
+    env: &E,
+    q: &QTable,
+    allowed: &[usize],
+    best: &mut Vec<usize>,
+) {
+    let keys = allowed.iter().map(|&a| (a, env.peek_reward(a)));
+    greedy_tie_scan(q, env.state(), keys, best);
+}
+
+/// Scans `(action, reward)` pairs in order and leaves in `best` the
+/// actions whose `(reward, Q(s, action))` key ties the best key so far,
+/// each component within `1e-12`. The tolerance is not transitive, so
+/// the set depends on the scan order: it holds the last action that
+/// strictly beat the best key and the later actions tied with it.
+pub fn greedy_tie_scan(
+    q: &QTable,
+    s: usize,
+    keys: impl IntoIterator<Item = (usize, f64)>,
+    best: &mut Vec<usize>,
+) {
+    best.clear();
+    let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for (a, reward) in keys {
+        let key = (reward, q.get(s, a));
+        if key.0 > best_key.0 + 1e-12
+            || ((key.0 - best_key.0).abs() <= 1e-12 && key.1 > best_key.1 + 1e-12)
+        {
+            best_key = key;
+            best.clear();
+            best.push(a);
+        } else if (key.0 - best_key.0).abs() <= 1e-12 && (key.1 - best_key.1).abs() <= 1e-12 {
+            best.push(a);
+        }
     }
 }

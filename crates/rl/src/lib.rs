@@ -21,7 +21,7 @@ pub mod visits;
 
 pub use budget::{Budget, BudgetStop};
 pub use checkpoint::TrainCheckpoint;
-pub use env::{Environment, StepOutcome};
+pub use env::{greedy_tie_scan, scan_greedy_ties, Environment, StepOutcome};
 pub use qtable::{QTable, QTableError, DENSE_AUTO_MAX};
 pub use rng::TrainRng;
 pub use schedule::Schedule;

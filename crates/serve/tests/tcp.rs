@@ -155,9 +155,13 @@ fn graceful_drain_answers_in_flight_while_refusing_new_connects() {
         );
 
         // In-flight request: ordinal 1 stalls 800 ms inside its worker.
+        // Stalls apply on the planning path, so it must be a plan.
         let (mut slow_stream, mut slow_reader) = connect(&server.endpoint);
         let t0 = Instant::now();
-        send_line(&mut slow_stream, r#"{"op":"health","id":"inflight"}"#);
+        send_line(
+            &mut slow_stream,
+            r#"{"op":"plan","dataset":"ds-ct","episodes":10,"id":"inflight"}"#,
+        );
         // Give the worker a moment to dequeue it before the drain begins.
         std::thread::sleep(Duration::from_millis(100));
 
@@ -197,6 +201,11 @@ fn graceful_drain_answers_in_flight_while_refusing_new_connects() {
         assert!(
             answered_at >= refused_at,
             "the stalled in-flight response must complete after new connects were already refused"
+        );
+        assert!(
+            answered_at - t0 >= Duration::from_millis(800),
+            "the in-flight plan was answered {:?} after it was sent, inside its 800 ms stall",
+            answered_at - t0
         );
 
         let summary = server.join();
